@@ -1,7 +1,12 @@
 #!/bin/sh
 # Repo gate: formatting, lints, full test suite, a quick perf smoke run
 # (quick mode writes target/BENCH_PR10.quick.json; the committed
-# BENCH_PR10.json comes from a full release run of the same binary), the
+# BENCH_PR10.json comes from a full release run of the same binary,
+# regenerated with
+#   cargo run --release -p sdmmon-bench --bin perf_report -- --out BENCH_PR10.json
+# — without --out a full run writes target/BENCH_PR10.json), the
+# repository benchmark's smoke run and tests (perfbench/ is its own
+# workspace, so nothing else builds it), the
 # sharded-engine throughput gate (with and without metrics recording),
 # the bit-sliced hash gate (SWAR block path >= 4x scalar on the headline
 # compression), the streaming-ingest gate (byte-identical
@@ -30,6 +35,12 @@ cargo build --release
 cargo test -q
 cargo test -q --workspace --release
 cargo run --release -p sdmmon-bench --bin perf_report -- --quick
+
+# Repository benchmark: every workload at a tiny size, checked against the
+# serial oracles, plus its own tests — so an engine API change cannot
+# break the benchmark unnoticed.
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --smoke
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Sharded-engine regression gate: the bounded quick sweep must not fall
 # below the serial baseline (exit 2 if it does — the PR 1 spawn-per-batch

@@ -8,14 +8,17 @@
 //! — each measured against the code path it replaced (which stays alive
 //! as the differential-test oracle).
 //!
-//! Writes `BENCH_PR10.json` (schema `sdmmon-perf-report-v6`) at the
-//! repository root and prints a summary table; the committed
+//! Writes `target/BENCH_PR10.json` (schema `sdmmon-perf-report-v6`;
+//! `target/BENCH_PR10.quick.json` with `--quick`, or the path given to
+//! `--out`) and prints a summary table. The committed root
+//! `BENCH_PR10.json` is regenerated only by naming it explicitly with
+//! `--out BENCH_PR10.json`; the committed
 //! `BENCH_PR1.json`, `BENCH_PR4.json`, `BENCH_PR6.json`,
 //! `BENCH_PR7.json` and `BENCH_PR9.json` are the frozen v1/v2/v3/v4/v5
 //! artifacts of the earlier overhauls. Run with:
 //!
 //! ```text
-//! cargo run --release -p sdmmon-bench --bin perf_report [-- --quick] [--shards N]
+//! cargo run --release -p sdmmon-bench --bin perf_report [-- --quick] [--shards N] [--out PATH]
 //! ```
 //!
 //! `--quick` shrinks iteration counts for CI smoke runs; `--shards N`
@@ -106,6 +109,10 @@ fn main() {
             .filter(|&n| n > 0)
             .expect("--shards wants a positive integer")
     });
+    let out = args
+        .iter()
+        .position(|a| a == "--out")
+        .map(|i| args.get(i + 1).cloned().expect("--out wants a file path"));
     let cfg = Config::new(quick);
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut json = String::from("{\n");
@@ -131,17 +138,17 @@ fn main() {
         render_table(&["measurement", "baseline", "optimized", "speedup"], &rows)
     );
 
-    // Quick (CI smoke) runs go to a scratch path so they never clobber the
-    // committed full-run report at the repository root.
-    let path = if quick {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/BENCH_PR10.quick.json"
-        )
-    } else {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR10.json")
-    };
-    std::fs::write(path, &json).expect("write perf report json");
+    // Reports go under target/ unless `--out` names a path, so no run
+    // clobbers the committed full-run report at the repository root.
+    let path = out.unwrap_or_else(|| {
+        let name = if quick {
+            "BENCH_PR10.quick.json"
+        } else {
+            "BENCH_PR10.json"
+        };
+        format!("{}/../../target/{name}", env!("CARGO_MANIFEST_DIR"))
+    });
+    std::fs::write(&path, &json).expect("write perf report json");
     println!("\nwrote {path}");
 }
 

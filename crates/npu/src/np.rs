@@ -11,9 +11,7 @@
 
 use crate::core::{Core, RETIRE_BLOCK};
 use crate::cpu::{ExecutionObserver, NullObserver};
-use crate::engine::{
-    dispatch_slots, shard_spans, steal_plan, IngressQueues, ShardStats, WorkerPool,
-};
+use crate::engine::{dispatch_slots, shard_of, shard_spans, steal_plan, IngressQueues, WorkerPool};
 use crate::runtime::{HaltReason, PacketOutcome};
 use crate::supervisor::{CoreHealth, Parole, SupervisorAction, SupervisorPolicy};
 use sdmmon_obs::trace::{self, TraceContext};
@@ -81,7 +79,7 @@ impl NpStats {
     }
 
     /// Folds one packet outcome into the counters (recovery is implied by
-    /// any unclean halt — see [`Slot::run`]).
+    /// any unclean halt — see [`Slot::settle`]).
     fn record(&mut self, outcome: &PacketOutcome) {
         self.processed += 1;
         match outcome.halt {
@@ -156,35 +154,50 @@ struct Slot {
 }
 
 impl Slot {
-    /// Runs one packet on this core, applying the recovery policy (reset
-    /// after any unclean halt) and the supervisor ladder, but not touching
-    /// the NP-wide stats. This is the reference per-instruction-dispatch
-    /// path (one virtual `observe` call per retired instruction); the batch
-    /// engine goes through [`Slot::run_fused`] instead.
-    fn run(
-        &mut self,
-        packet: &[u8],
-        policy: &SupervisorPolicy,
-    ) -> (PacketOutcome, Option<SupervisorAction>) {
-        let outcome = self.core.process_packet(packet, self.observer.as_mut());
-        self.settle(outcome, policy)
+    /// Runs one packet on this core through `path`, without any
+    /// bookkeeping. Both paths yield identical outcomes by the
+    /// [`ExecutionObserver::run_packet`] contract; the determinism tests
+    /// and testkit differentials pin that.
+    fn run(&mut self, packet: &[u8], path: DispatchPath) -> PacketOutcome {
+        match path {
+            DispatchPath::Fused => self.observer.run_packet(&mut self.core, packet),
+            DispatchPath::Reference => self.core.process_packet(packet, self.observer.as_mut()),
+        }
     }
 
-    /// Like [`Slot::run`] but dispatches the whole packet through
-    /// [`ExecutionObserver::run_packet`]: one virtual call per packet, so
-    /// observers with a monomorphized fast path (the hardware monitor) run
-    /// it. Outcomes are identical to [`Slot::run`] by the trait's contract;
-    /// the determinism tests and testkit differentials pin that.
-    fn run_fused(
+    /// The per-packet kernel every NP entry point goes through: run the
+    /// packet, settle it (recovery + supervisor ladder), remember it in
+    /// the forensic ring, turn an escalation into `supervisor.*` events
+    /// (flushing the ring from quarantine up), and record its causal
+    /// spans. Events go to `events`, stamped with `clock` — the packet's
+    /// ordinal, independent of which thread runs the core — so per-worker
+    /// buffers merge into one stream by a stable sort on clock. NP-wide
+    /// stats are left to the caller.
+    fn dispatch(
         &mut self,
         packet: &[u8],
-        policy: &SupervisorPolicy,
+        clock: u64,
+        core: usize,
+        qpos: u64,
+        ctx: &DispatchCtx,
+        events: &mut Vec<Event>,
     ) -> (PacketOutcome, Option<SupervisorAction>) {
-        let outcome = self.observer.run_packet(&mut self.core, packet);
-        self.settle(outcome, policy)
+        let outcome = self.run(packet, ctx.path);
+        let (outcome, action) = self.settle(outcome, &ctx.policy);
+        self.note_forensic(clock, &outcome, ctx.policy.adaptive.forensic_window);
+        if let (true, Some(action)) = (ctx.record_events, action) {
+            if action >= SupervisorAction::Quarantine {
+                self.flush_forensics(clock, core, events);
+            }
+            events.extend(supervisor_event(action, clock, core, &self.health));
+        }
+        if let Some(tc) = &ctx.trace {
+            self.note_trace(tc, packet, clock, core, qpos, &outcome, action, events);
+        }
+        (outcome, action)
     }
 
-    /// Shared post-packet bookkeeping for both dispatch paths. Returns the
+    /// Post-packet bookkeeping shared by both dispatch paths. Returns the
     /// supervisor's verdict on an unclean halt (`None` for clean packets)
     /// so the NP can turn ladder escalations into events; the process-wide
     /// metrics are recorded here — a few relaxed atomic adds per packet,
@@ -399,8 +412,6 @@ pub struct NetworkProcessor {
     /// batch and kept across batches (the PR 1 regression was spawning
     /// per batch). `None` until then, or while `shards == 1`.
     pool: Option<WorkerPool>,
-    /// Cache-padded per-shard outcome counters, one per pool worker.
-    shard_stats: Vec<ShardStats>,
     /// Optional structured-event sink (see [`sdmmon_obs::EventBus`]).
     /// `None` — the default — is the no-op sink: no event is constructed
     /// anywhere on the packet path.
@@ -484,7 +495,6 @@ impl NetworkProcessor {
             policy,
             shards: default_shards(cores),
             pool: None,
-            shard_stats: Vec::new(),
             bus: None,
             trace: None,
             lockdown: false,
@@ -741,32 +751,34 @@ impl NetworkProcessor {
     /// [`NetworkProcessor::process`], [`NetworkProcessor::process_flow`],
     /// and [`NetworkProcessor::process_batch`].
     pub fn process_on(&mut self, index: usize, packet: &[u8]) -> PacketOutcome {
-        let policy = self.policy;
         let clock = self.stats.processed;
-        let (outcome, action) = self.slots[index].run(packet, &policy);
+        let ctx = DispatchCtx {
+            trace: None,
+            ..self.dispatch_ctx(DispatchPath::Reference)
+        };
+        let mut events = Vec::new();
+        let (outcome, action) =
+            self.slots[index].dispatch(packet, clock, index, 0, &ctx, &mut events);
         self.stats.record(&outcome);
-        self.slots[index].note_forensic(clock, &outcome, policy.adaptive.forensic_window);
-        if let Some(action) = action {
-            if self.bus.is_some() {
-                let mut events = Vec::new();
-                if action >= SupervisorAction::Quarantine {
-                    self.slots[index].flush_forensics(clock, index, &mut events);
-                }
-                events.extend(supervisor_event(
-                    action,
-                    clock,
-                    index,
-                    &self.slots[index].health,
-                ));
-                if let Some(bus) = &self.bus {
-                    bus.extend(events);
-                }
-            }
-            if action == SupervisorAction::Zeroize {
-                self.latch_lockdown(clock);
-            }
+        if let Some(bus) = &self.bus {
+            bus.extend(events);
+        }
+        if action == Some(SupervisorAction::Zeroize) {
+            self.latch_lockdown(clock);
         }
         outcome
+    }
+
+    /// The per-run [`Slot::dispatch`] context: events are recorded (and
+    /// spans traced) only while a bus is attached.
+    fn dispatch_ctx(&self, path: DispatchPath) -> DispatchCtx {
+        let record_events = self.bus.is_some();
+        DispatchCtx {
+            policy: self.policy,
+            path,
+            record_events,
+            trace: self.trace.filter(|_| record_events),
+        }
     }
 
     /// Latches NP lockdown (once) and emits the `supervisor.lockdown`
@@ -809,7 +821,6 @@ impl NetworkProcessor {
             // Tear the pool down now; the next batch respawns at the new
             // width. (Dropping joins the workers.)
             self.pool = None;
-            self.shard_stats = Vec::new();
         }
     }
 
@@ -850,9 +861,8 @@ impl NetworkProcessor {
     /// [`NetworkProcessor::shards`] disjoint contiguous shards, and each
     /// shard works through its cores' queues on a persistent worker thread
     /// (spawned once, reused across batches, joined on drop — see
-    /// [`crate::engine`]). Per-shard counters accumulate in cache-padded
-    /// atomics and are rolled up into [`NpStats`] by shard index after the
-    /// batch barrier. The merged result preserves the input order.
+    /// [`crate::engine`]). Outcomes merge back into input order and are
+    /// folded into [`NpStats`] on the caller thread after the barrier.
     ///
     /// Because flow→core assignment is independent of the shard count and
     /// each core's queue runs in input order on exactly one worker,
@@ -875,131 +885,14 @@ impl NetworkProcessor {
     /// core is quarantined.
     pub fn process_batch(&mut self, packets: &[Vec<u8>]) -> Vec<(usize, PacketOutcome)> {
         let queues = self.partition(packets);
-        let shards = self.shards.clamp(1, self.slots.len());
+        let cores = self.slots.len();
+        let shards = self.shards.clamp(1, cores);
         self.note_queue_depths(&queues);
         self.record_batch_telemetry(packets.len(), &queues, shards);
-        if shards == 1 || packets.is_empty() {
-            let merged = self.run_queues_inline(packets, &queues, DispatchPath::Fused);
-            self.finish_batch();
-            return merged;
-        }
-
-        if self.pool.as_ref().is_none_or(|p| p.len() != shards) {
-            self.pool = Some(WorkerPool::new(shards));
-            self.shard_stats = (0..shards).map(|_| ShardStats::default()).collect();
-        }
-        let pool = self.pool.as_ref().expect("pool just ensured");
-        let spans = shard_spans(self.slots.len(), shards);
-        let policy = self.policy;
-        let base_clock = self.stats.processed;
-        let record_events = self.bus.is_some();
-        let trace = if record_events { self.trace } else { None };
-        let shard_stats = &self.shard_stats;
-
-        // One result buffer per shard; workers never share a buffer, and
-        // input indices are globally unique, so the merge below is
-        // order-independent across shards.
-        let mut results: Vec<Vec<(usize, usize, PacketOutcome)>> = spans
-            .iter()
-            .map(|span| {
-                let load: usize = queues[span.start..span.end].iter().map(Vec::len).sum();
-                Vec::with_capacity(load)
-            })
-            .collect();
-        // Per-shard event buffers, absorbed in packet order after the
-        // barrier — the event-stream twin of the ShardStats rollup.
-        let mut shard_events: Vec<Vec<Event>> = (0..shards).map(|_| Vec::new()).collect();
-        {
-            // Split the slot array into per-shard disjoint chunks.
-            let mut rest: &mut [Slot] = &mut self.slots;
-            let mut chunks: Vec<&mut [Slot]> = Vec::with_capacity(shards);
-            let mut consumed = 0;
-            for span in &spans {
-                let (chunk, tail) = rest.split_at_mut(span.end - consumed);
-                chunks.push(chunk);
-                rest = tail;
-                consumed = span.end;
-            }
-            let queues = &queues;
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
-                .into_iter()
-                .zip(&spans)
-                .zip(results.iter_mut().zip(shard_events.iter_mut()))
-                .enumerate()
-                .map(|(shard_index, ((chunk, span), (out, events)))| {
-                    let span = *span;
-                    let stats = &shard_stats[shard_index];
-                    Box::new(move || {
-                        for (local, slot) in chunk.iter_mut().enumerate() {
-                            let core_index = span.start + local;
-                            for (qpos, &i) in queues[core_index].iter().enumerate() {
-                                let (outcome, action) = slot.run_fused(&packets[i], &policy);
-                                stats.record(&outcome);
-                                // Clock = the packet's batch-wide ordinal,
-                                // independent of sharding.
-                                let clock = base_clock + i as u64;
-                                slot.note_forensic(
-                                    clock,
-                                    &outcome,
-                                    policy.adaptive.forensic_window,
-                                );
-                                if record_events {
-                                    if let Some(action) = action {
-                                        if action >= SupervisorAction::Quarantine {
-                                            slot.flush_forensics(clock, core_index, events);
-                                        }
-                                        events.extend(supervisor_event(
-                                            action,
-                                            clock,
-                                            core_index,
-                                            &slot.health,
-                                        ));
-                                    }
-                                }
-                                if let Some(tc) = &trace {
-                                    slot.note_trace(
-                                        tc,
-                                        &packets[i],
-                                        clock,
-                                        core_index,
-                                        qpos as u64,
-                                        &outcome,
-                                        action,
-                                        events,
-                                    );
-                                }
-                                out.push((i, core_index, outcome));
-                            }
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_batch(jobs);
-        }
-        if let Some(bus) = &self.bus {
-            // Merge by logical clock (= input index, globally unique), so
-            // the stream is identical for every shard count — and to the
-            // inline/serial paths.
-            let mut events: Vec<Event> = shard_events.into_iter().flatten().collect();
-            events.sort_by_key(|e| e.clock);
-            bus.extend(events);
-        }
-
-        // Merge outcomes back into input order (indices are globally
-        // unique, so cross-shard iteration order cannot matter), then roll
-        // the padded per-shard counters up by shard index.
-        let mut merged: Vec<Option<(usize, PacketOutcome)>> = vec![None; packets.len()];
-        for outcomes in &results {
-            for &(i, core_index, outcome) in outcomes {
-                merged[i] = Some((core_index, outcome));
-            }
-        }
-        self.rollup_shard_stats();
+        let owner: Vec<usize> = (0..cores).map(|c| shard_of(c, cores, shards)).collect();
+        let merged = self.run_queues(packets, &queues, &owner, shards, DispatchPath::Fused);
         self.finish_batch();
         merged
-            .into_iter()
-            .map(|m| m.expect("every packet was dispatched"))
-            .collect()
     }
 
     /// The serial oracle for [`NetworkProcessor::process_batch`]: identical
@@ -1015,71 +908,90 @@ impl NetworkProcessor {
     pub fn process_batch_serial(&mut self, packets: &[Vec<u8>]) -> Vec<(usize, PacketOutcome)> {
         let queues = self.partition(packets);
         self.note_queue_depths(&queues);
-        let merged = self.run_queues_inline(packets, &queues, DispatchPath::Reference);
+        let owner = vec![0; self.slots.len()];
+        let merged = self.run_queues(packets, &queues, &owner, 1, DispatchPath::Reference);
         self.finish_batch();
         merged
     }
 
-    /// Runs pre-partitioned queues on the caller thread, in core-index
-    /// order, and merges back to input order.
-    fn run_queues_inline(
+    /// The one queue runner. Worker `owner[core]` runs `queues[core]` —
+    /// whole, in input order — through [`Slot::dispatch`], walking its
+    /// cores in index order; static shards and steal plans are just
+    /// different owner maps. Each worker holds disjoint `&mut Slot`
+    /// borrows and fills its own outcome and event buffers. With one
+    /// worker (or nothing to run) everything runs on the caller thread;
+    /// otherwise one job per worker goes to the persistent pool.
+    ///
+    /// Afterwards the events merge by a stable sort on clock (each
+    /// packet's events share its unique ordinal and sit contiguously in
+    /// one buffer), outcomes merge by input index, and [`NpStats`] folds
+    /// them here on the caller thread — so every owner map yields the
+    /// same stream, outcomes, and stats.
+    fn run_queues(
         &mut self,
         packets: &[Vec<u8>],
         queues: &[Vec<usize>],
+        owner: &[usize],
+        workers: usize,
         path: DispatchPath,
     ) -> Vec<(usize, PacketOutcome)> {
-        let policy = self.policy;
+        let ctx = self.dispatch_ctx(path);
         let base_clock = self.stats.processed;
-        let record_events = self.bus.is_some();
-        let trace = if record_events { self.trace } else { None };
-        let mut events: Vec<Event> = Vec::new();
-        let mut merged: Vec<Option<(usize, PacketOutcome)>> = vec![None; packets.len()];
-        for (core_index, queue) in queues.iter().enumerate() {
-            let slot = &mut self.slots[core_index];
-            for (qpos, &i) in queue.iter().enumerate() {
-                let (outcome, action) = match path {
-                    DispatchPath::Fused => slot.run_fused(&packets[i], &policy),
-                    DispatchPath::Reference => slot.run(&packets[i], &policy),
-                };
-                let clock = base_clock + i as u64;
-                slot.note_forensic(clock, &outcome, policy.adaptive.forensic_window);
-                if record_events {
-                    if let Some(action) = action {
-                        if action >= SupervisorAction::Quarantine {
-                            slot.flush_forensics(clock, core_index, &mut events);
-                        }
-                        events.extend(supervisor_event(action, clock, core_index, &slot.health));
-                    }
+        let mut mine: Vec<Vec<(usize, &mut Slot)>> = (0..workers).map(|_| Vec::new()).collect();
+        for (core, slot) in self.slots.iter_mut().enumerate() {
+            mine[owner[core]].push((core, slot));
+        }
+        let mut outs: Vec<Vec<(usize, usize, PacketOutcome)>> = mine
+            .iter()
+            .map(|cores| Vec::with_capacity(cores.iter().map(|(c, _)| queues[*c].len()).sum()))
+            .collect();
+        let mut events: Vec<Vec<Event>> = (0..workers).map(|_| Vec::new()).collect();
+        let run = |cores: Vec<(usize, &mut Slot)>,
+                   out: &mut Vec<(usize, usize, PacketOutcome)>,
+                   events: &mut Vec<Event>| {
+            for (core, slot) in cores {
+                for (qpos, &i) in queues[core].iter().enumerate() {
+                    let clock = base_clock + i as u64;
+                    let (outcome, _) =
+                        slot.dispatch(&packets[i], clock, core, qpos as u64, &ctx, events);
+                    out.push((i, core, outcome));
                 }
-                if let Some(tc) = &trace {
-                    slot.note_trace(
-                        tc,
-                        &packets[i],
-                        clock,
-                        core_index,
-                        qpos as u64,
-                        &outcome,
-                        action,
-                        &mut events,
-                    );
-                }
-                merged[i] = Some((core_index, outcome));
             }
+        };
+        let work = mine.into_iter().zip(outs.iter_mut().zip(events.iter_mut()));
+        if workers == 1 || packets.is_empty() {
+            for (cores, (out, events)) in work {
+                run(cores, out, events);
+            }
+        } else {
+            if self.pool.as_ref().is_none_or(|p| p.len() != workers) {
+                self.pool = Some(WorkerPool::new(workers));
+            }
+            let run = &run;
+            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = work
+                .map(|(cores, (out, events))| {
+                    Box::new(move || run(cores, out, events)) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            self.pool
+                .as_ref()
+                .expect("pool just ensured")
+                .run_batch(jobs);
         }
         if let Some(bus) = &self.bus {
-            // Same packet-ordinal merge as the sharded path, so serial,
-            // inline, and sharded runs emit one identical stream.
+            let mut events: Vec<Event> = events.into_iter().flatten().collect();
             events.sort_by_key(|e| e.clock);
             bus.extend(events);
         }
-        let merged: Vec<(usize, PacketOutcome)> = merged
-            .into_iter()
-            .map(|m| m.expect("every packet was dispatched"))
-            .collect();
-        for (_, outcome) in &merged {
-            self.stats.record(outcome);
+        let mut merged: Vec<Option<(usize, PacketOutcome)>> = vec![None; packets.len()];
+        for (i, core, outcome) in outs.into_iter().flatten() {
+            self.stats.record(&outcome);
+            merged[i] = Some((core, outcome));
         }
         merged
+            .into_iter()
+            .map(|m| m.expect("every packet was dispatched"))
+            .collect()
     }
 
     /// Records the per-batch gauges (shard queue depths, imbalance) and —
@@ -1149,20 +1061,6 @@ impl NetworkProcessor {
         }
         if self.slots.iter().any(|s| s.health.zeroize_ordered) {
             self.latch_lockdown(clock);
-        }
-    }
-
-    /// Folds the drained per-shard counters into the NP-wide stats, in
-    /// shard-index order.
-    fn rollup_shard_stats(&mut self) {
-        for stats in &self.shard_stats {
-            let (processed, forwarded, dropped, violations, faults, recoveries) = stats.take();
-            self.stats.processed += processed;
-            self.stats.forwarded += forwarded;
-            self.stats.dropped += dropped;
-            self.stats.violations += violations;
-            self.stats.faults += faults;
-            self.stats.recoveries += recoveries;
         }
     }
 
@@ -1285,12 +1183,45 @@ impl NetworkProcessor {
     /// Panics if a selected core has no program installed, if every core is
     /// quarantined, or if `cfg.shard_capacity` is zero.
     pub fn process_stream(&mut self, rounds: &[Vec<Vec<u8>>], cfg: &StreamConfig) -> StreamOutcome {
+        self.stream(rounds, cfg, DispatchPath::Fused)
+    }
+
+    /// The serial oracle for [`NetworkProcessor::process_stream`]:
+    /// identical bounded admission (same [`IngressQueues`], same per-shard
+    /// budgets for the configured shard count), then each round's admitted
+    /// queues run like [`NetworkProcessor::process_batch_serial`] — the
+    /// reference per-instruction dispatch path, no worker pool, no
+    /// stealing. The streaming determinism tests pin `process_stream` to
+    /// this function byte-for-byte: outcomes, [`NpStats`], and the
+    /// supervisor event stream.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`NetworkProcessor::process_stream`].
+    pub fn process_stream_serial(
+        &mut self,
+        rounds: &[Vec<Vec<u8>>],
+        cfg: &StreamConfig,
+    ) -> StreamOutcome {
+        self.stream(rounds, cfg, DispatchPath::Reference)
+    }
+
+    /// The admission loop shared by both stream paths. They differ only in
+    /// how a round executes: the engine (`Fused`) records batch telemetry
+    /// and runs under a [`steal_plan`] on the shard workers; the oracle
+    /// (`Reference`) runs every queue on the caller thread.
+    fn stream(
+        &mut self,
+        rounds: &[Vec<Vec<u8>>],
+        cfg: &StreamConfig,
+        path: DispatchPath,
+    ) -> StreamOutcome {
         let cores = self.slots.len();
         let shards = self.shards.clamp(1, cores);
         let mut ingress = IngressQueues::new(cores, shards, cfg.shard_capacity);
         let mut outcomes: Vec<Option<(usize, PacketOutcome)>> = Vec::new();
         let mut steals_total = 0u64;
-        let trace = if self.bus.is_some() { self.trace } else { None };
+        let trace = self.dispatch_ctx(path).trace;
         for round in rounds {
             ingress.clear_round();
             let table = self.dispatch_table();
@@ -1309,16 +1240,22 @@ impl NetworkProcessor {
                     bus.extend(trace_events);
                 }
             }
+            // The dispatch table cannot change between admission and
+            // execution, so the ingress queues are exactly the batch
+            // partition of the admitted packets.
             let queues = ingress.queues();
             self.note_queue_depths(queues);
-            self.record_batch_telemetry(admitted.len(), queues, shards);
-            let merged = if shards == 1 || admitted.is_empty() {
-                self.run_queues_inline(&admitted, queues, DispatchPath::Fused)
-            } else {
-                let (owner, steals) = steal_plan(&ingress.loads(), shards);
-                metrics().add(Counter::StreamSteals, steals);
-                steals_total += steals;
-                self.run_queues_stolen(&admitted, queues, &owner, shards)
+            let merged = match path {
+                DispatchPath::Fused => {
+                    self.record_batch_telemetry(admitted.len(), queues, shards);
+                    let (owner, steals) = steal_plan(&ingress.loads(), shards);
+                    metrics().add(Counter::StreamSteals, steals);
+                    steals_total += steals;
+                    self.run_queues(&admitted, queues, &owner, shards, path)
+                }
+                DispatchPath::Reference => {
+                    self.run_queues(&admitted, queues, &vec![0; cores], 1, path)
+                }
             };
             self.finish_batch();
             for (local, (core, outcome)) in merged.into_iter().enumerate() {
@@ -1336,192 +1273,9 @@ impl NetworkProcessor {
             },
         }
     }
-
-    /// The serial oracle for [`NetworkProcessor::process_stream`]:
-    /// identical bounded admission (same [`IngressQueues`], same per-shard
-    /// budgets for the configured shard count), then each round's admitted
-    /// packets run through [`NetworkProcessor::process_batch_serial`] — the
-    /// reference per-instruction dispatch path, no worker pool, no
-    /// stealing. The streaming determinism tests pin `process_stream` to
-    /// this function byte-for-byte: outcomes, [`NpStats`], and the
-    /// supervisor event stream.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`NetworkProcessor::process_stream`].
-    pub fn process_stream_serial(
-        &mut self,
-        rounds: &[Vec<Vec<u8>>],
-        cfg: &StreamConfig,
-    ) -> StreamOutcome {
-        let cores = self.slots.len();
-        let shards = self.shards.clamp(1, cores);
-        let mut ingress = IngressQueues::new(cores, shards, cfg.shard_capacity);
-        let mut outcomes: Vec<Option<(usize, PacketOutcome)>> = Vec::new();
-        let trace = if self.bus.is_some() { self.trace } else { None };
-        for round in rounds {
-            ingress.clear_round();
-            let table = self.dispatch_table();
-            let mut trace_events: Vec<Event> = Vec::new();
-            let (admitted, offer_index) = Self::admit_round(
-                &table,
-                round,
-                &mut ingress,
-                &mut outcomes,
-                trace,
-                self.stats.processed,
-                &mut trace_events,
-            );
-            if !trace_events.is_empty() {
-                if let Some(bus) = &self.bus {
-                    bus.extend(trace_events);
-                }
-            }
-            // Re-partitioning inside `process_batch_serial` reproduces the
-            // ingress queues exactly: the dispatch table cannot change
-            // between admission and execution, and admission preserved
-            // offer order.
-            let merged = self.process_batch_serial(&admitted);
-            for (local, (core, outcome)) in merged.into_iter().enumerate() {
-                outcomes[offer_index[local]] = Some((core, outcome));
-            }
-        }
-        StreamOutcome {
-            outcomes,
-            report: StreamReport {
-                rounds: rounds.len() as u64,
-                offered: ingress.offered(),
-                admitted: ingress.admitted(),
-                dropped: ingress.dropped(),
-                steals: 0,
-            },
-        }
-    }
-
-    /// Runs pre-partitioned queues on the worker pool under a steal plan:
-    /// each worker owns the *whole queues* (and core slots) the plan
-    /// assigned it, which may be a non-contiguous core set. Slots travel to
-    /// their worker by move and come home by core index afterwards, so no
-    /// aliasing is possible. Events merge by packet-ordinal clock exactly
-    /// like [`NetworkProcessor::process_batch`] — a packet's event group is
-    /// contiguous within one worker's buffer and clocks are unique per
-    /// packet, so the stable sort yields one canonical stream regardless of
-    /// which worker ran which core.
-    fn run_queues_stolen(
-        &mut self,
-        packets: &[Vec<u8>],
-        queues: &[Vec<usize>],
-        owner: &[usize],
-        shards: usize,
-    ) -> Vec<(usize, PacketOutcome)> {
-        let cores = self.slots.len();
-        if self.pool.as_ref().is_none_or(|p| p.len() != shards) {
-            self.pool = Some(WorkerPool::new(shards));
-            self.shard_stats = (0..shards).map(|_| ShardStats::default()).collect();
-        }
-        let policy = self.policy;
-        let base_clock = self.stats.processed;
-        let record_events = self.bus.is_some();
-        let trace = if record_events { self.trace } else { None };
-
-        // Hand every core's slot to the worker the plan chose, ascending
-        // core order within each worker.
-        let mut worker_slots: Vec<Vec<(usize, Slot)>> = (0..shards).map(|_| Vec::new()).collect();
-        for (core, slot) in std::mem::take(&mut self.slots).into_iter().enumerate() {
-            worker_slots[owner[core]].push((core, slot));
-        }
-        let mut results: Vec<Vec<(usize, usize, PacketOutcome)>> = worker_slots
-            .iter()
-            .map(|mine| {
-                let load: usize = mine.iter().map(|(core, _)| queues[*core].len()).sum();
-                Vec::with_capacity(load)
-            })
-            .collect();
-        let mut shard_events: Vec<Vec<Event>> = (0..shards).map(|_| Vec::new()).collect();
-        {
-            let pool = self.pool.as_ref().expect("pool just ensured");
-            let shard_stats = &self.shard_stats;
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = worker_slots
-                .iter_mut()
-                .zip(results.iter_mut().zip(shard_events.iter_mut()))
-                .enumerate()
-                .map(|(shard_index, (mine, (out, events)))| {
-                    let stats = &shard_stats[shard_index];
-                    Box::new(move || {
-                        for (core_index, slot) in mine.iter_mut() {
-                            let core_index = *core_index;
-                            for (qpos, &i) in queues[core_index].iter().enumerate() {
-                                let (outcome, action) = slot.run_fused(&packets[i], &policy);
-                                stats.record(&outcome);
-                                let clock = base_clock + i as u64;
-                                slot.note_forensic(
-                                    clock,
-                                    &outcome,
-                                    policy.adaptive.forensic_window,
-                                );
-                                if record_events {
-                                    if let Some(action) = action {
-                                        if action >= SupervisorAction::Quarantine {
-                                            slot.flush_forensics(clock, core_index, events);
-                                        }
-                                        events.extend(supervisor_event(
-                                            action,
-                                            clock,
-                                            core_index,
-                                            &slot.health,
-                                        ));
-                                    }
-                                }
-                                if let Some(tc) = &trace {
-                                    slot.note_trace(
-                                        tc,
-                                        &packets[i],
-                                        clock,
-                                        core_index,
-                                        qpos as u64,
-                                        &outcome,
-                                        action,
-                                        events,
-                                    );
-                                }
-                                out.push((i, core_index, outcome));
-                            }
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_batch(jobs);
-        }
-        if let Some(bus) = &self.bus {
-            let mut events: Vec<Event> = shard_events.into_iter().flatten().collect();
-            events.sort_by_key(|e| e.clock);
-            bus.extend(events);
-        }
-        // Every slot comes home to its core index.
-        let mut restored: Vec<Option<Slot>> = (0..cores).map(|_| None).collect();
-        for (core, slot) in worker_slots.into_iter().flatten() {
-            restored[core] = Some(slot);
-        }
-        self.slots = restored
-            .into_iter()
-            .map(|s| s.expect("every core's slot returns"))
-            .collect();
-
-        let mut merged: Vec<Option<(usize, PacketOutcome)>> = vec![None; packets.len()];
-        for outcomes in &results {
-            for &(i, core_index, outcome) in outcomes {
-                merged[i] = Some((core_index, outcome));
-            }
-        }
-        self.rollup_shard_stats();
-        merged
-            .into_iter()
-            .map(|m| m.expect("every admitted packet was dispatched"))
-            .collect()
-    }
 }
 
-/// Which per-packet dispatch path an inline queue run uses.
+/// Which per-packet dispatch path [`Slot::dispatch`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DispatchPath {
     /// [`ExecutionObserver::run_packet`] — one virtual call per packet.
@@ -1529,6 +1283,18 @@ enum DispatchPath {
     /// [`Core::process_packet`] via `&mut dyn` — one virtual call per
     /// retired instruction; the oracle path.
     Reference,
+}
+
+/// Everything [`Slot::dispatch`] needs beyond the packet: fixed for one
+/// run, `Copy`, and shared by reference with every worker.
+#[derive(Debug, Clone, Copy)]
+struct DispatchCtx {
+    policy: SupervisorPolicy,
+    path: DispatchPath,
+    /// Whether `supervisor.*` events are built (a bus is attached).
+    record_events: bool,
+    /// Span/flight tracing; `None` unless a bus is attached.
+    trace: Option<TraceContext>,
 }
 
 /// Streaming-engine knobs for [`NetworkProcessor::process_stream`].

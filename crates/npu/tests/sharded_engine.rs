@@ -1,9 +1,10 @@
 //! Integration pins for the sharded batch engine (PR 4).
 //!
 //! * Determinism: [`NetworkProcessor::process_batch`] must be byte-identical
-//!   to [`NetworkProcessor::process_batch_serial`] — outcomes *and*
-//!   [`NpStats`] — for every shard count and seed, including a seed that
-//!   drives the supervisor through redeploy and quarantine mid-batch.
+//!   to [`NetworkProcessor::process_batch_serial`] — outcomes, [`NpStats`],
+//!   and the traced supervisor/span/flight event stream — for every shard
+//!   count and seed, including a seed that drives the supervisor through
+//!   redeploy and quarantine mid-batch.
 //! * Flow affinity: a 5-tuple never crosses shards, per-flow order is
 //!   preserved (observable through order-dependent core state), and the
 //!   flow hash spreads load within 2x of uniform.
@@ -14,7 +15,10 @@ use sdmmon_npu::np::{flow_hash, NetworkProcessor};
 use sdmmon_npu::programs::{self, testing};
 use sdmmon_npu::runtime::Verdict;
 use sdmmon_npu::supervisor::SupervisorPolicy;
+use sdmmon_obs::trace::{KIND_FLIGHT, KIND_SPAN_DISPATCH};
+use sdmmon_obs::{Event, EventBus, TraceContext};
 use sdmmon_rng::{Rng, SeedableRng, StdRng};
+use std::sync::Arc;
 
 const CORES: usize = 8;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -34,6 +38,24 @@ fn loaded_np(policy: SupervisorPolicy) -> NetworkProcessor {
         Box::new(NullObserver)
     });
     np
+}
+
+/// Attaches a fresh event bus and a tracer (200‰ head sampling plus the
+/// flight recorder) to `np`; returns the bus.
+fn observe(np: &mut NetworkProcessor, seed: u64) -> Arc<EventBus> {
+    let bus = Arc::new(EventBus::new());
+    np.set_event_bus(Some(bus.clone()));
+    np.set_trace(Some(TraceContext::new(seed, 200)));
+    bus
+}
+
+/// The events the engine and the serial oracle must agree on: all but the
+/// `np.batch` telemetry, which only the engine emits.
+fn shared_events(bus: &EventBus) -> Vec<Event> {
+    bus.take()
+        .into_iter()
+        .filter(|e| e.kind != "np.batch")
+        .collect()
 }
 
 /// Four distinct attack packets (distinct bytes → distinct flows → they can
@@ -76,6 +98,7 @@ fn traffic(seed: u64, n: usize, burst: bool) -> Vec<Vec<u8>> {
 #[test]
 fn sharded_batch_is_byte_identical_to_serial_for_all_shard_counts_and_seeds() {
     let policy = SupervisorPolicy::ladder(2, 2);
+    let mut saw_flight = false;
     for (seed, burst) in SEEDS {
         let packets = traffic(seed, 160, burst);
         // A second batch repartitions against the (possibly degraded)
@@ -83,19 +106,33 @@ fn sharded_batch_is_byte_identical_to_serial_for_all_shard_counts_and_seeds() {
         let follow_up = traffic(seed ^ 0xFFFF, 80, false);
 
         let mut oracle = loaded_np(policy);
+        let oracle_bus = observe(&mut oracle, seed);
         let serial_one = oracle.process_batch_serial(&packets);
         let serial_two = oracle.process_batch_serial(&follow_up);
         let serial_stats = oracle.stats();
+        let serial_events = shared_events(&oracle_bus);
         if burst {
             assert!(
                 serial_stats.redeploys >= 2 && serial_stats.quarantined_cores >= 1,
                 "quarantine seed must actually escalate mid-batch: {serial_stats}"
             );
+            assert!(
+                serial_events
+                    .iter()
+                    .any(|e| e.kind == "supervisor.quarantine"),
+                "the escalation must be on the event stream"
+            );
         }
+        assert!(
+            serial_events.iter().any(|e| e.kind == KIND_SPAN_DISPATCH),
+            "seed {seed:#x}: the traced oracle sampled no packet"
+        );
+        saw_flight |= serial_events.iter().any(|e| e.kind == KIND_FLIGHT);
 
         for shards in SHARD_COUNTS {
             let mut np = loaded_np(policy);
             np.set_shards(shards);
+            let bus = observe(&mut np, seed);
             let one = np.process_batch(&packets);
             let two = np.process_batch(&follow_up);
             assert_eq!(
@@ -111,8 +148,17 @@ fn sharded_batch_is_byte_identical_to_serial_for_all_shard_counts_and_seeds() {
                 serial_stats,
                 "NpStats diverged from serial at {shards} shards, seed {seed:#x}"
             );
+            assert_eq!(
+                shared_events(&bus),
+                serial_events,
+                "event stream diverged from serial at {shards} shards, seed {seed:#x}"
+            );
         }
     }
+    assert!(
+        saw_flight,
+        "no seed promoted a flow through the flight recorder"
+    );
 }
 
 #[test]

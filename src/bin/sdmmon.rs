@@ -252,20 +252,22 @@ fn parse_compression(text: &str) -> Result<Compression, CliError> {
 }
 
 fn parse_hex_bytes(text: &str) -> Result<Vec<u8>, CliError> {
-    let clean: String = text
+    let nibbles = text
         .chars()
         .filter(|c| !c.is_whitespace() && *c != ':')
-        .collect();
-    if !clean.len().is_multiple_of(2) {
+        .map(|c| {
+            c.to_digit(16)
+                .map(|d| d as u8)
+                .ok_or_else(|| usage(format!("bad hex digit `{c}`")))
+        })
+        .collect::<Result<Vec<u8>, CliError>>()?;
+    if !nibbles.len().is_multiple_of(2) {
         return Err(usage("hex string has odd length"));
     }
-    (0..clean.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&clean[i..i + 2], 16)
-                .map_err(|_| usage(format!("bad hex byte `{}`", &clean[i..i + 2])))
-        })
-        .collect()
+    Ok(nibbles
+        .chunks(2)
+        .map(|pair| pair[0] << 4 | pair[1])
+        .collect())
 }
 
 fn assemble_file(path: &str, base: u32) -> Result<sdmmon::isa::asm::Program, CliError> {

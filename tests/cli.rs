@@ -315,4 +315,14 @@ fn bad_inputs_yield_clean_errors() {
         .output()
         .expect("spawn");
     assert_eq!(out.status.code(), Some(1));
+    // Non-hex (and non-ASCII) digits are a usage error, not a panic.
+    let out = sdmmon()
+        .arg("run")
+        .arg(&src)
+        .arg("--packet")
+        .arg("aé0")
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bad hex digit"));
 }
