@@ -1,17 +1,18 @@
 //! The `hash` scenario (PR 6): scalar Merkle-tree hashing vs the SWAR
-//! bit-sliced block path, per compression function, plus the end-to-end
-//! effect on monitored packet throughput.
+//! bit-sliced block hash, per compression function, plus the end-to-end
+//! monitored packet throughput of the fast path against the reference.
 //!
 //! The microbench times [`InstructionHash::hash`] in a scalar loop against
-//! [`InstructionHash::hash_block`] over the same words in 16-lane blocks
-//! (the monitor's retirement-block width). Both sides hash the identical
-//! word stream and their outputs are folded into a checksum that must
-//! agree — a timed run that diverges panics instead of reporting.
+//! [`InstructionHash::hash_block`] over the same words in 16-lane blocks.
+//! Both sides hash the identical word stream and their outputs are folded
+//! into a checksum that must agree — a timed run that diverges panics
+//! instead of reporting.
 //!
 //! The end-to-end pair runs one monitored core over the same packet batch
 //! twice: once through [`Core::process_packet`] (the per-instruction
 //! reference dispatch) and once through [`ExecutionObserver::run_packet`]
-//! (the block path behind the batch engine), asserting identical outcomes.
+//! (the verified-word-memo fast path behind the batch engine), asserting
+//! identical outcomes.
 
 use crate::render_table;
 use sdmmon_monitor::hash::{Compression, MerkleTreeHash, BLOCK_LANES};
@@ -103,7 +104,8 @@ pub struct HashBenchReport {
     /// Best-of-repeats packets per second through the per-instruction
     /// reference dispatch.
     pub reference_pps: f64,
-    /// Best-of-repeats packets per second through the block path.
+    /// Best-of-repeats packets per second through the fast path
+    /// ([`ExecutionObserver::run_packet`]; the name predates the memo).
     pub block_pps: f64,
 }
 
@@ -129,7 +131,7 @@ impl HashBenchReport {
             .expect("sweep covers Compression::ALL")
     }
 
-    /// End-to-end speedup of the block path over reference dispatch.
+    /// End-to-end speedup of the fast path over reference dispatch.
     pub fn e2e_speedup(&self) -> f64 {
         self.block_pps / self.reference_pps
     }
@@ -156,7 +158,7 @@ impl HashBenchReport {
         );
         let _ = writeln!(
             out,
-            "end-to-end: reference {:.0} pps, block path {:.0} pps ({:.2}x)",
+            "end-to-end: reference {:.0} pps, fast path {:.0} pps ({:.2}x)",
             self.reference_pps,
             self.block_pps,
             self.e2e_speedup()
@@ -273,7 +275,7 @@ pub fn run(cfg: &HashBenchConfig) -> HashBenchReport {
     let mut core = Core::new();
     core.install(&program.to_bytes(), program.base);
     let mut reference = HardwareMonitor::new(graph.clone(), hash);
-    let mut blockwise = HardwareMonitor::new(graph, hash);
+    let mut fast = HardwareMonitor::new(graph, hash);
 
     let mut reference_pps = 0f64;
     let mut block_pps = 0f64;
@@ -286,15 +288,15 @@ pub fn run(cfg: &HashBenchConfig) -> HashBenchReport {
         reference_pps = reference_pps.max(packets.len() as f64 / t.elapsed().as_secs_f64());
 
         let t = Instant::now();
-        let blk_out: Vec<_> = packets
+        let fast_out: Vec<_> = packets
             .iter()
-            .map(|p| blockwise.run_packet(&mut core, p))
+            .map(|p| fast.run_packet(&mut core, p))
             .collect();
         block_pps = block_pps.max(packets.len() as f64 / t.elapsed().as_secs_f64());
-        assert_eq!(blk_out, ref_out, "block path diverged from reference");
+        assert_eq!(fast_out, ref_out, "fast path diverged from reference");
     }
     assert_eq!(
-        blockwise.stats(),
+        fast.stats(),
         reference.stats(),
         "monitor statistics diverged between dispatch paths"
     );

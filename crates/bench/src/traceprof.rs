@@ -4,11 +4,14 @@
 //! One untimed reference run with the span/trace layer armed yields the
 //! span aggregates — per-stage counts and the stage cost budgets (queue
 //! delay at admission, run-queue position at dispatch, retired
-//! instructions and full hash blocks at verification). Then interleaved
-//! timed runs compare tracing-off against tracing-on throughput: both
-//! sides carry an event bus (so the delta isolates the trace layer, not
-//! event plumbing), best-of-`repeats` per side, and the report records the
-//! overhead percentage that `perf_report` gates at ≤ 5%.
+//! instructions and full hash blocks at verification). Then paired timed
+//! runs compare tracing-off against tracing-on throughput: both sides
+//! carry an event bus (so the delta isolates the trace layer, not event
+//! plumbing), the order inside a pair alternates (off→on, then on→off) so
+//! a drifting host load hits both sides alike, and the report records the
+//! **median** of the per-pair overhead ratios — the percentage
+//! `perf_report` gates at ≤ 5%. A single slow run moves one pair, not the
+//! verdict.
 
 use crate::render_table;
 use sdmmon_monitor::{full_blocks, HardwareMonitor, MerkleTreeHash, MonitoringGraph};
@@ -41,8 +44,8 @@ pub struct TraceProfConfig {
     pub shards: usize,
     /// Per-shard ingress budget per round.
     pub shard_capacity: usize,
-    /// Timed repeats per side (best-of is reported).
-    pub repeats: usize,
+    /// Timed off/on pairs (the gate reads the median per-pair ratio).
+    pub pairs: usize,
     /// Open-loop source seed (also the trace-sampler seed).
     pub seed: u64,
     /// Per-mille flow sampling rate for the tracing-on side.
@@ -58,7 +61,7 @@ impl TraceProfConfig {
             rounds: if quick { 8 } else { 48 },
             shards: 4,
             shard_capacity: 48,
-            repeats: if quick { 3 } else { 5 },
+            pairs: if quick { 7 } else { 9 },
             seed: 0xBE7C_000A,
             sample_per_mille: 64,
         }
@@ -118,17 +121,21 @@ pub struct TraceProfReport {
     pub respond: StageBudget,
     /// `supervisor.flight` events (retroactively promoted packet records).
     pub flight_records: u64,
-    /// Best-of-repeats admitted packets/second with tracing off.
+    /// Median admitted packets/second with tracing off.
     pub pps_off: f64,
-    /// Best-of-repeats admitted packets/second with tracing on.
+    /// Median admitted packets/second with tracing on.
     pub pps_on: f64,
+    /// Median over the timed pairs of `off / on` throughput (1.0 = no
+    /// overhead).
+    pub overhead_ratio: f64,
 }
 
 impl TraceProfReport {
-    /// Sampled-tracing throughput overhead in percent (clamped at 0 —
-    /// a faster tracing-on run is noise, not a speedup).
+    /// Sampled-tracing throughput overhead in percent: the median
+    /// per-pair ratio, clamped at 0 — a faster tracing-on run is noise,
+    /// not a speedup.
     pub fn overhead_pct(&self) -> f64 {
-        ((self.pps_off / self.pps_on - 1.0) * 100.0).max(0.0)
+        ((self.overhead_ratio - 1.0) * 100.0).max(0.0)
     }
 
     /// Whether the overhead sits within [`OVERHEAD_GATE_PCT`].
@@ -307,23 +314,30 @@ pub fn run(cfg: &TraceProfConfig) -> TraceProfReport {
         }
     }
 
-    // Timed pair, interleaved: off then on per repeat, best-of each side.
+    // Timed pairs, order alternating per pair, gated on the median ratio.
     // Both sides carry a bus so the measured delta is the trace layer.
-    let mut pps_off = 0f64;
-    let mut pps_on = 0f64;
-    for _ in 0..cfg.repeats {
+    let timed = |trace: Option<TraceContext>| {
         let mut np = build();
         np.set_event_bus(Some(Arc::new(EventBus::new())));
+        np.set_trace(trace);
         let t = Instant::now();
         let out = np.process_stream(&rounds, &stream_cfg);
-        pps_off = pps_off.max(out.report.admitted as f64 / t.elapsed().as_secs_f64());
-
-        let mut np = build();
-        np.set_event_bus(Some(Arc::new(EventBus::new())));
-        np.set_trace(Some(tc));
-        let t = Instant::now();
-        let out = np.process_stream(&rounds, &stream_cfg);
-        pps_on = pps_on.max(out.report.admitted as f64 / t.elapsed().as_secs_f64());
+        out.report.admitted as f64 / t.elapsed().as_secs_f64()
+    };
+    let mut off = Vec::with_capacity(cfg.pairs);
+    let mut on = Vec::with_capacity(cfg.pairs);
+    let mut ratios = Vec::with_capacity(cfg.pairs);
+    for pair in 0..cfg.pairs {
+        let (pps_off, pps_on) = if pair % 2 == 0 {
+            let off = timed(None);
+            (off, timed(Some(tc)))
+        } else {
+            let on = timed(Some(tc));
+            (timed(None), on)
+        };
+        off.push(pps_off);
+        on.push(pps_on);
+        ratios.push(pps_off / pps_on);
     }
 
     TraceProfReport {
@@ -342,8 +356,21 @@ pub fn run(cfg: &TraceProfConfig) -> TraceProfReport {
         verify,
         respond,
         flight_records,
-        pps_off,
-        pps_on,
+        pps_off: median(off),
+        pps_on: median(on),
+        overhead_ratio: median(ratios),
+    }
+}
+
+/// Median of a non-empty sample (mean of the middle two for even sizes).
+fn median(mut xs: Vec<f64>) -> f64 {
+    assert!(!xs.is_empty(), "median of no samples");
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
     }
 }
 
@@ -357,7 +384,7 @@ mod tests {
             rounds: 3,
             shards: 2,
             shard_capacity: 24,
-            repeats: 1,
+            pairs: 2,
             seed: 0xBE7C_000A,
             sample_per_mille: 200,
         };

@@ -17,10 +17,10 @@ pub mod bitslice;
 /// of the bit-sliced data path (16 × 4-bit lanes fill one `u64` plane).
 pub const BLOCK_LANES: usize = 16;
 
-/// Full [`BLOCK_LANES`]-wide hash blocks the monitor verifies for a packet
-/// that retired `steps` instructions (the trailing partial block goes
-/// through the scalar path). The trace layer's `span.verify` events and
-/// the trace-driven profiler attribute block budgets with this mapping.
+/// Full [`BLOCK_LANES`]-wide blocks in a packet that retired `steps`
+/// instructions — the fixed `blocks` unit of the trace layer's
+/// `span.verify` events, which the trace-driven profiler attributes with
+/// this mapping.
 pub fn full_blocks(steps: u64) -> u64 {
     steps / BLOCK_LANES as u64
 }
@@ -42,8 +42,9 @@ pub trait InstructionHash {
     ///
     /// Must produce exactly `[hash(words[0]), …, hash(words[15])]`. The
     /// default is the scalar loop; [`MerkleTreeHash`] and [`WidthHash`]
-    /// override it with the [`bitslice`] SWAR evaluation, which is what
-    /// the monitor's block-verification path consumes.
+    /// override it with the [`bitslice`] SWAR evaluation, measured by the
+    /// `sdmmon bench --hash` microbench (the monitor itself hashes word by
+    /// word, and only words its verified-word memo has not seen).
     fn hash_block(&self, words: &[u32; BLOCK_LANES]) -> [u8; BLOCK_LANES] {
         let mut out = [0u8; BLOCK_LANES];
         for (o, &w) in out.iter_mut().zip(words) {

@@ -1,6 +1,6 @@
 //! Bit-sliced (SWAR) evaluation of the Merkle-tree instruction hash:
 //! sixteen independent 4-bit lanes packed into each `u64`, so one pass of
-//! the compression tree hashes a whole retirement block.
+//! the compression tree hashes sixteen words.
 //!
 //! # Data layout
 //!
@@ -176,7 +176,7 @@ fn extract(plane: u64) -> [u8; BLOCK_LANES] {
 ///
 /// Produces bit-identical results to the scalar tree — `hash_block(w)[i]
 /// == scalar.hash(w[i])` for every lane, every parameter, and every
-/// compression (the monitor's block path relies on this, and the
+/// compression (the `sdmmon bench --hash` gate relies on this, and the
 /// differential proptests enforce it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BitslicedMerkleHash {

@@ -14,17 +14,17 @@
 //! attack length.
 
 use crate::graph::MonitoringGraph;
-use crate::hash::{InstructionHash, BLOCK_LANES};
-use sdmmon_npu::core::{BlockObserver, Core, RETIRE_BLOCK};
+use crate::hash::InstructionHash;
+use sdmmon_npu::core::Core;
 use sdmmon_npu::cpu::{ExecutionObserver, Observation};
 use sdmmon_npu::runtime::PacketOutcome;
 
-/// "No singleton candidate" sentinel for [`BlockRun::node`].
+/// "No singleton candidate" sentinel for [`MemoRun::node`].
 const NO_NODE: u32 = u32::MAX;
 
-// The core's retirement buffer and the bit-sliced hash data path must agree
-// on the block width; a full buffer flush is exactly one SWAR pass.
-const _: () = assert!(RETIRE_BLOCK == BLOCK_LANES);
+/// Empty-slot value of [`HardwareMonitor`]'s verified-word memo: no `u32`
+/// word widens to it.
+const UNVERIFIED: u64 = u64::MAX;
 
 /// Counters kept by a monitor across its lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,12 +59,20 @@ pub struct HardwareMonitor<H: InstructionHash> {
     succ_spans: Vec<(u32, u32)>,
     /// Per-node successor lists pre-sorted and deduplicated — exactly what
     /// the general path's `sort_unstable` + `dedup` produces for a
-    /// singleton candidate set, computed once at construction so the
-    /// block-verification path ([`ExecutionObserver::run_packet`]) advances
-    /// with a span copy instead of a sort per instruction.
+    /// singleton candidate set, computed once at construction so the fast
+    /// path ([`ExecutionObserver::run_packet`]) advances with a span copy
+    /// instead of a sort per instruction.
     fast_edges: Vec<u32>,
     /// Per-node `(start, end)` span into [`Self::fast_edges`].
     fast_spans: Vec<(u32, u32)>,
+    /// Verified-word memo, indexed like [`Self::node_hashes`]: a word
+    /// already proven to hash to `node_hashes[c]` (or [`UNVERIFIED`]),
+    /// written right after a real hash for every live candidate it
+    /// matched. Keyed by the word's value, not its address, so it never
+    /// needs invalidation: a changed or injected word simply misses. Read
+    /// and written only by the fast path, never by the reference
+    /// `observe`.
+    verified: Vec<u64>,
     /// Candidate graph positions (node indices) consistent with the
     /// observed hash stream.
     current: Vec<u32>,
@@ -118,6 +126,7 @@ impl<H: InstructionHash> HardwareMonitor<H> {
             fast_edges.extend(sorted);
             fast_spans.push((fast_start, fast_edges.len() as u32));
         }
+        let verified = vec![UNVERIFIED; node_hashes.len()];
         HardwareMonitor {
             graph,
             hash,
@@ -126,6 +135,7 @@ impl<H: InstructionHash> HardwareMonitor<H> {
             succ_spans,
             fast_edges,
             fast_spans,
+            verified,
             current: Vec::new(),
             scratch: Vec::new(),
             stats: MonitorStats::default(),
@@ -165,6 +175,13 @@ fn node_index(graph: &MonitoringGraph, addr: u32) -> Option<u32> {
 }
 
 impl<H: InstructionHash> HardwareMonitor<H> {
+    /// Whether node `cand` has already proven `word` (then `word` hashes
+    /// to `node_hashes[cand]`). Fast path only.
+    #[inline]
+    fn proven(&self, cand: usize, word: u32) -> bool {
+        self.verified[cand] == u64::from(word)
+    }
+
     fn begin_impl(&mut self, entry: u32) {
         self.stats.runs += 1;
         self.current.clear();
@@ -173,8 +190,8 @@ impl<H: InstructionHash> HardwareMonitor<H> {
 
     /// The reference per-instruction check: hash the word, compare against
     /// every candidate, advance to the union of matched successors. This is
-    /// the hardware's data path and the oracle the block-verification path
-    /// must agree with.
+    /// the hardware's data path and the oracle the fast path must agree
+    /// with.
     fn observe_general(&mut self, word: u32) -> Observation {
         let observed = self.hash.hash(word);
         self.advance_candidates(observed)
@@ -205,17 +222,17 @@ impl<H: InstructionHash> HardwareMonitor<H> {
     }
 }
 
-/// The block-verification observer [`HardwareMonitor::run_packet`] hands
-/// to [`Core::process_packet_blocks`]: full retirement blocks are hashed in
-/// one bit-sliced pass ([`InstructionHash::hash_block`]) and the NFA walk
-/// consumes the precomputed lane hashes; partial final blocks (trap,
-/// `break 0`, step-limit) take the scalar tail. Per-run bookkeeping lives
-/// in register-friendly locals merged back into [`MonitorStats`] once per
-/// packet. Private on purpose — the block path is reachable only through
+/// The fast-path observer [`HardwareMonitor::run_packet`] hands to
+/// [`Core::process_packet`]: the same per-instruction NFA walk as the
+/// reference path, but the hash of a retired word comes from the monitor's
+/// verified-word memo whenever a live candidate already proved that word,
+/// and the common candidate-set shapes live in registers. Per-run
+/// bookkeeping is merged back into [`MonitorStats`] once per packet.
+/// Private on purpose — the fast path is reachable only through
 /// [`ExecutionObserver::run_packet`], keeping the trait's per-instruction
-/// `observe` the unchanged reference implementation (the differential
-/// oracle).
-struct BlockRun<'a, H: InstructionHash> {
+/// `observe` on [`HardwareMonitor`] the unchanged reference implementation
+/// (the differential oracle), which never reads the memo.
+struct MemoRun<'a, H: InstructionHash> {
     mon: &'a mut HardwareMonitor<H>,
     /// The sole candidate while the set is a singleton ([`NO_NODE`]
     /// otherwise) — the overwhelmingly common straight-line mode, kept in
@@ -232,25 +249,26 @@ struct BlockRun<'a, H: InstructionHash> {
     /// the end of the packet (the materialized fallback updates the stat
     /// directly, and `max` is order-independent).
     max_seen: usize,
-    /// Full 16-lane blocks hashed bit-sliced this run.
-    blocks: u64,
-    /// Instructions hashed by the scalar tail this run.
-    tail: u64,
-    /// Per-lane hashes of the block being walked.
-    hashes: [u8; BLOCK_LANES],
+    /// Words actually hashed this run (memo misses).
+    hashed: u64,
 }
 
-impl<'a, H: InstructionHash> BlockRun<'a, H> {
-    fn new(mon: &'a mut HardwareMonitor<H>) -> BlockRun<'a, H> {
-        BlockRun {
+impl<'a, H: InstructionHash> MemoRun<'a, H> {
+    fn new(mon: &'a mut HardwareMonitor<H>) -> MemoRun<'a, H> {
+        MemoRun {
             mon,
             node: NO_NODE,
             pair: (NO_NODE, NO_NODE),
             max_seen: 0,
-            blocks: 0,
-            tail: 0,
-            hashes: [0; BLOCK_LANES],
+            hashed: 0,
         }
+    }
+
+    /// A memo miss: hash the word for real.
+    #[inline]
+    fn hash(&mut self, word: u32) -> u8 {
+        self.hashed += 1;
+        self.mon.hash.hash(word)
     }
 
     /// After a proven match on `cand`, move to its pre-sorted, pre-deduped
@@ -317,40 +335,26 @@ impl<'a, H: InstructionHash> BlockRun<'a, H> {
         }
     }
 
-    /// One NFA step for a precomputed lane hash. Must stay in lockstep
-    /// with [`HardwareMonitor::advance_candidates`] — same matches, same
-    /// resulting set, same statistics; only the dispatch differs (register
-    /// modes for singleton/pair sets, the reference-shaped fallback for
-    /// everything else). On a violation the candidate state is left
-    /// untouched, exactly like the reference path.
-    #[inline]
-    fn advance(&mut self, observed: u8) -> Observation {
-        let node = self.node;
-        if node != NO_NODE {
-            if self.mon.node_hashes[node as usize] == observed {
-                self.advance_span(node as usize);
-                return Observation::Continue;
-            }
-            self.mon.stats.violations += 1;
-            return Observation::Violation;
-        }
-        if self.pair.0 != NO_NODE {
-            return self.advance_pair(observed);
-        }
-        let obs = self.mon.advance_candidates(observed);
-        if obs == Observation::Continue {
-            self.sync_mode();
-        }
-        obs
-    }
-
     /// Pair-mode step: resolve both arms of a live branch with two table
     /// compares. The both-match case (a hash collision between the arms)
     /// takes the materialized reference-shaped fallback.
-    fn advance_pair(&mut self, observed: u8) -> Observation {
+    fn observe_pair(&mut self, word: u32) -> Observation {
         let (pa, pb) = (self.pair.0 as usize, self.pair.1 as usize);
-        let m0 = self.mon.node_hashes[pa] == observed;
-        let m1 = self.mon.node_hashes[pb] == observed;
+        let (ha, hb) = (self.mon.node_hashes[pa], self.mon.node_hashes[pb]);
+        let observed = if self.mon.proven(pa, word) {
+            ha
+        } else if self.mon.proven(pb, word) {
+            hb
+        } else {
+            let observed = self.hash(word);
+            for (cand, h) in [(pa, ha), (pb, hb)] {
+                if h == observed {
+                    self.mon.verified[cand] = u64::from(word);
+                }
+            }
+            observed
+        };
+        let (m0, m1) = (ha == observed, hb == observed);
         if m0 != m1 {
             self.advance_span(if m0 { pa } else { pb });
             return Observation::Continue;
@@ -360,6 +364,30 @@ impl<'a, H: InstructionHash> BlockRun<'a, H> {
             return Observation::Violation;
         }
         self.materialize();
+        self.advance_general(observed)
+    }
+
+    /// General-mode hash source: a memo hit on any candidate in
+    /// `mon.current`, else the real hash, memoized for every candidate it
+    /// matches.
+    fn general_hash(&mut self, word: u32) -> u8 {
+        let mon = &*self.mon;
+        if let Some(&c) = mon.current.iter().find(|&&c| mon.proven(c as usize, word)) {
+            return mon.node_hashes[c as usize];
+        }
+        let observed = self.hash(word);
+        let mon = &mut *self.mon;
+        for &c in &mon.current {
+            if mon.node_hashes[c as usize] == observed {
+                mon.verified[c as usize] = u64::from(word);
+            }
+        }
+        observed
+    }
+
+    /// General-mode step: the reference advance over the materialized set
+    /// in `mon.current`, then back to the cheapest mode for the result.
+    fn advance_general(&mut self, observed: u8) -> Observation {
         let obs = self.mon.advance_candidates(observed);
         if obs == Observation::Continue {
             self.sync_mode();
@@ -368,38 +396,44 @@ impl<'a, H: InstructionHash> BlockRun<'a, H> {
     }
 }
 
-impl<H: InstructionHash> BlockObserver for BlockRun<'_, H> {
+impl<H: InstructionHash> ExecutionObserver for MemoRun<'_, H> {
     fn begin(&mut self, entry: u32) {
         self.mon.begin_impl(entry);
         self.sync_mode();
     }
 
-    fn observe_block(&mut self, words: &[u32]) -> Option<usize> {
-        // Full blocks go through the bit-sliced tree — one SWAR pass for
-        // all 16 lanes; the partial final block falls back to the scalar
-        // hash (the block path's scalar tail).
-        if let Ok(full) = <&[u32; BLOCK_LANES]>::try_from(words) {
-            self.hashes = self.mon.hash.hash_block(full);
-            self.blocks += 1;
-        } else {
-            for (h, &w) in self.hashes.iter_mut().zip(words) {
-                *h = self.mon.hash.hash(w);
+    /// One NFA step. Must stay in lockstep with
+    /// [`HardwareMonitor::advance_candidates`] — same matches, same
+    /// resulting set, same statistics; only the hash source (memo hit or
+    /// real hash) and the dispatch (register modes for singleton/pair
+    /// sets, the reference-shaped fallback otherwise) differ. On a
+    /// violation the candidate state is left untouched, exactly like the
+    /// reference path.
+    #[inline]
+    fn observe(&mut self, _pc: u32, word: u32) -> Observation {
+        // Observability hook for the hot loop: a no-op sink unless the
+        // `obs-hot` feature opts into per-retired-instruction recording
+        // (the default level settles instruction counts once per packet in
+        // the NP instead — see `sdmmon-obs`).
+        #[cfg(feature = "obs-hot")]
+        sdmmon_obs::metrics().inc(sdmmon_obs::Counter::MonitorHotInstructions);
+        let node = self.node;
+        if node != NO_NODE {
+            if !self.mon.proven(node as usize, word) {
+                if self.mon.node_hashes[node as usize] != self.hash(word) {
+                    self.mon.stats.violations += 1;
+                    return Observation::Violation;
+                }
+                self.mon.verified[node as usize] = u64::from(word);
             }
-            self.tail += words.len() as u64;
+            self.advance_span(node as usize);
+            return Observation::Continue;
         }
-        for i in 0..words.len() {
-            // Observability hook for the hot loop: a no-op sink unless the
-            // `obs-hot` feature opts into per-retired-instruction
-            // recording (the default level settles instruction counts once
-            // per packet in the NP instead — see `sdmmon-obs`).
-            #[cfg(feature = "obs-hot")]
-            sdmmon_obs::metrics().inc(sdmmon_obs::Counter::MonitorHotInstructions);
-            let observed = self.hashes[i];
-            if self.advance(observed) == Observation::Violation {
-                return Some(i);
-            }
+        if self.pair.0 != NO_NODE {
+            return self.observe_pair(word);
         }
-        None
+        let observed = self.general_hash(word);
+        self.advance_general(observed)
     }
 }
 
@@ -413,31 +447,28 @@ impl<H: InstructionHash> ExecutionObserver for HardwareMonitor<H> {
         self.observe_general(word)
     }
 
-    /// The block per-packet path: the core retires instructions into
-    /// 16-word blocks ([`Core::process_packet_blocks`]), full blocks are
-    /// hashed in one bit-sliced SWAR pass, and the NFA walk consumes the
-    /// precomputed lane hashes. Outcomes and statistics are identical to
-    /// the default per-instruction dispatch — the block loop rolls the
-    /// step count back to the violating lane and discards speculative
-    /// over-execution.
+    /// The fast per-packet path: the per-instruction NFA walk of
+    /// [`MemoRun`], monomorphized into [`Core::process_packet`], taking
+    /// each word's hash from the verified-word memo when a live candidate
+    /// already proved that word. A hit yields exactly `hash(word)` (the
+    /// hash is a pure function of the word), so outcomes and statistics
+    /// are identical to the default per-instruction dispatch; a changed
+    /// or injected word misses and is hashed for real.
     fn run_packet(&mut self, core: &mut Core, packet: &[u8]) -> PacketOutcome {
-        let mut run = BlockRun::new(self);
-        let out = core.process_packet_blocks(packet, &mut run);
+        let mut run = MemoRun::new(self);
+        let out = core.process_packet(packet, &mut run);
         // The candidate set must survive the run (`candidate_count` is
         // public API and `begin` of the next packet reads nothing else),
         // so flush whatever register mode the run ended in.
         run.materialize();
-        let (max_seen, blocks, tail) = (run.max_seen, run.blocks, run.tail);
+        let (max_seen, hashed) = (run.max_seen, run.hashed);
 
-        // The block loop checks exactly one hash per retired instruction —
-        // the count the core already returns — so the per-instruction
-        // counter the general path keeps can be settled once per packet.
+        // The walk checks exactly one hash per retired instruction — the
+        // count the core already returns — so the per-instruction counter
+        // the reference path keeps can be settled once per packet.
         self.stats.instructions_checked += out.steps;
         self.stats.max_candidates = self.stats.max_candidates.max(max_seen);
-        let metrics = sdmmon_obs::metrics();
-        metrics.add(sdmmon_obs::Counter::MonitorBlocksVerified, blocks);
-        metrics.add(sdmmon_obs::Counter::MonitorScalarTailInstructions, tail);
-        metrics.observe(sdmmon_obs::Hist::MonitorBlocksPerPacket, blocks);
+        sdmmon_obs::metrics().add(sdmmon_obs::Counter::MonitorWordsHashed, hashed);
         out
     }
 }

@@ -244,64 +244,71 @@ fn width_hash_block_path_matches_scalar() {
     }
 }
 
-/// The block-verification packet path ([`ExecutionObserver::run_packet`],
-/// which retires 16-instruction blocks and hashes them bit-sliced) is
-/// observationally identical to the per-instruction reference dispatch:
-/// same verdict, halt reason, and step count, same monitor statistics and
-/// final candidate set — for random parameters, compressions, packets, and
-/// randomly corrupted binaries (so violations land at arbitrary offsets
-/// inside a block, including partial final blocks of 1..=15 instructions).
+/// The fast packet path ([`ExecutionObserver::run_packet`], which takes
+/// word hashes from the monitor's verified-word memo) is observationally
+/// identical to the per-instruction reference dispatch: same verdict, halt
+/// reason, and step count, same monitor statistics and final candidate set
+/// — for random parameters, compressions, and packets. Each monitor pair
+/// sees 2–4 packets, and in half the cases one text bit is flipped
+/// *between* packets, after the memo has been warmed on the pristine word,
+/// so a stale memo entry would show as a missed violation.
 #[test]
-fn block_path_is_byte_identical_to_reference_path() {
+fn fast_path_is_byte_identical_to_reference_path() {
     let program = programs::ipv4_forward().expect("workload assembles");
     let mut rng = StdRng::seed_from_u64(0x4D0_0009);
     for case in 0..CASES * 2 {
         let param = rng.next_u32();
         let compression = arb_compression(&mut rng);
-        let dst = rng.gen::<u8>();
-        let ttl = rng.gen::<u8>();
-        let mut payload = vec![0u8; rng.gen_range(0..96usize)];
-        rng.fill_bytes(&mut payload);
-        let corrupt = rng.gen_bool(0.5);
+        let packets = rng.gen_range(2..5usize);
+        let corrupt_before = rng.gen_bool(0.5).then(|| rng.gen_range(1..packets));
 
         let hash = MerkleTreeHash::with_compression(param, compression);
         let graph = MonitoringGraph::extract(&program, &hash).expect("graph extracts");
         let mut reference = HardwareMonitor::new(graph.clone(), hash);
-        let mut blockwise = HardwareMonitor::new(graph, hash);
+        let mut fast = HardwareMonitor::new(graph, hash);
 
         let mut core_a = Core::new();
         let mut core_b = Core::new();
         core_a.install(&program.to_bytes(), program.base);
         core_b.install(&program.to_bytes(), program.base);
-        if corrupt {
-            let word_index = rng.gen_range(0..program.words.len().min(40));
-            let bit = rng.gen_range(0..32usize);
-            let addr = program.base + 4 * word_index as u32;
-            let original = core_a.memory().load_u32(addr).expect("in range");
-            let patched = original ^ (1 << bit);
-            core_a
-                .memory_mut()
-                .store_u32(addr, patched)
-                .expect("in range");
-            core_b
-                .memory_mut()
-                .store_u32(addr, patched)
-                .expect("in range");
+        for k in 0..packets {
+            if corrupt_before == Some(k) {
+                let word_index = rng.gen_range(0..program.words.len().min(40));
+                let bit = rng.gen_range(0..32usize);
+                let addr = program.base + 4 * word_index as u32;
+                let original = core_a.memory().load_u32(addr).expect("in range");
+                let patched = original ^ (1 << bit);
+                core_a
+                    .memory_mut()
+                    .store_u32(addr, patched)
+                    .expect("in range");
+                core_b
+                    .memory_mut()
+                    .store_u32(addr, patched)
+                    .expect("in range");
+            }
+            let dst = rng.gen::<u8>();
+            let ttl = rng.gen::<u8>();
+            let mut payload = vec![0u8; rng.gen_range(0..96usize)];
+            rng.fill_bytes(&mut payload);
+            let packet = testing::ipv4_packet([10, 0, 0, 1], [10, 0, 0, dst], ttl, &payload);
+            // Reference: the trait's default per-instruction observe loop.
+            let ref_out = core_a.process_packet(&packet, &mut reference);
+            // Under test: the memo fast path behind `run_packet`.
+            let fast_out = fast.run_packet(&mut core_b, &packet);
+
+            assert_eq!(fast_out, ref_out, "case {case} packet {k} outcome");
+            assert_eq!(
+                fast.stats(),
+                reference.stats(),
+                "case {case} packet {k} stats"
+            );
+            assert_eq!(
+                fast.candidate_count(),
+                reference.candidate_count(),
+                "case {case} packet {k} candidates"
+            );
         }
-
-        let packet = testing::ipv4_packet([10, 0, 0, 1], [10, 0, 0, dst], ttl, &payload);
-        // Reference: the trait's default per-instruction observe loop.
-        let ref_out = core_a.process_packet(&packet, &mut reference);
-        // Under test: the block path behind `run_packet`.
-        let blk_out = blockwise.run_packet(&mut core_b, &packet);
-
-        assert_eq!(blk_out, ref_out, "case {case} outcome");
-        assert_eq!(blockwise.stats(), reference.stats(), "case {case} stats");
-        assert_eq!(
-            blockwise.candidate_count(),
-            reference.candidate_count(),
-            "case {case} candidates"
-        );
     }
 }
 

@@ -15,29 +15,6 @@ use sdmmon_isa::Reg;
 /// few hundred instructions, so this bounds runaway/hijacked code.
 pub const DEFAULT_STEP_LIMIT: u64 = 1_000_000;
 
-/// Retired instructions buffered per block-verification pass of
-/// [`Core::process_packet_blocks`] — sized to the monitor's 16-lane
-/// bit-sliced hash width (16 × 4-bit lanes fill one `u64` plane).
-pub const RETIRE_BLOCK: usize = 16;
-
-/// An observer consuming retired instructions block-wise instead of one at
-/// a time — the interface of the monitor's bit-sliced verification path
-/// (see [`Core::process_packet_blocks`]).
-///
-/// Implementations must be observationally identical to checking each word
-/// with a per-instruction [`ExecutionObserver`]: same accept/violate
-/// verdicts at the same stream positions, same observer statistics. The
-/// differential suites pin block-path runs against the scalar oracle.
-pub trait BlockObserver {
-    /// Called when packet processing (re)starts at `entry`.
-    fn begin(&mut self, entry: u32);
-
-    /// Verifies `1..=RETIRE_BLOCK` retired instruction words, in
-    /// retirement order. Returns the index of the first violating word, or
-    /// `None` if the whole block passes.
-    fn observe_block(&mut self, words: &[u32]) -> Option<usize>;
-}
-
 /// One simulated PLASMA-class packet-processing core.
 ///
 /// # Examples
@@ -194,44 +171,6 @@ impl Core {
         self.outcome(halt, steps)
     }
 
-    /// [`Core::process_packet`] with block-wise verification: retired
-    /// instruction words accumulate in a [`RETIRE_BLOCK`]-entry buffer and
-    /// are handed to the observer one block at a time, so a bit-sliced
-    /// monitor hashes 16 instructions per pass. Trap, `break 0`, and
-    /// step-limit boundaries flush a partial block (the observer's scalar
-    /// tail).
-    ///
-    /// Execution past an undetected-yet violation inside a block is
-    /// *speculative*: the outcome reports the step count at the violating
-    /// instruction (exactly as the per-instruction path would), the halt
-    /// forces [`Verdict::Drop`], and recovery resets the core — so the
-    /// over-execution is observationally invisible. Outcomes are
-    /// byte-identical to [`Core::process_packet`] under an equivalent
-    /// per-instruction observer; the differential suites pin this.
-    pub fn process_packet_blocks<O: BlockObserver + ?Sized>(
-        &mut self,
-        packet: &[u8],
-        observer: &mut O,
-    ) -> PacketOutcome {
-        assert!(self.is_programmed(), "no program installed");
-        if packet.len() as u64 > PKT_MAX_BYTES as u64 {
-            return oversized_outcome();
-        }
-        self.stage_packet(packet);
-        observer.begin(self.entry);
-
-        let mut steps = 0u64;
-        let step_limit = self.step_limit;
-        let (cpu, mem) = (&mut self.cpu, &mut self.mem);
-        let halt = match self.dcache.as_mut() {
-            Some(cache) => block_loop(cpu, mem, observer, step_limit, &mut steps, |c, m| {
-                c.step_cached(m, cache)
-            }),
-            None => block_loop(cpu, mem, observer, step_limit, &mut steps, Cpu::step),
-        };
-        self.outcome(halt, steps)
-    }
-
     /// Loads the packet into the buffer region, clears the verdict word,
     /// and points the CPU at the entry with a fresh register file.
     fn stage_packet(&mut self, packet: &[u8]) {
@@ -316,69 +255,6 @@ fn run_loop<O: ExecutionObserver + ?Sized>(
                 return HaltReason::Completed;
             }
             Err(trap) => return HaltReason::Fault(trap),
-        }
-    }
-}
-
-/// The interpret–buffer–verify loop of [`Core::process_packet_blocks`]:
-/// retire up to [`RETIRE_BLOCK`] instructions, then verify the whole
-/// buffer in one observer call. Monomorphized per fetch path like
-/// [`run_loop`].
-#[inline(always)]
-fn block_loop<O: BlockObserver + ?Sized>(
-    cpu: &mut Cpu,
-    mem: &mut crate::mem::Memory,
-    observer: &mut O,
-    step_limit: u64,
-    steps: &mut u64,
-    mut step: impl FnMut(&mut Cpu, &mut crate::mem::Memory) -> Result<crate::cpu::Retired, Trap>,
-) -> HaltReason {
-    let mut buf = [0u32; RETIRE_BLOCK];
-    loop {
-        // Fill one retirement block, stopping early on any halt condition.
-        let mut fill = 0usize;
-        let mut pending = None;
-        while fill < RETIRE_BLOCK {
-            if *steps >= step_limit {
-                pending = Some(HaltReason::StepLimit);
-                break;
-            }
-            match step(cpu, mem) {
-                Ok(retired) => {
-                    *steps += 1;
-                    buf[fill] = retired.word;
-                    fill += 1;
-                }
-                Err(Trap::Break(0)) => {
-                    // The halting `break` retires and must be verified too
-                    // (same rule as the per-instruction loop).
-                    *steps += 1;
-                    let pc = cpu.pc();
-                    buf[fill] = mem.load_u32(pc).expect("break was just fetched from here");
-                    fill += 1;
-                    pending = Some(HaltReason::Completed);
-                    break;
-                }
-                Err(trap) => {
-                    pending = Some(HaltReason::Fault(trap));
-                    break;
-                }
-            }
-        }
-        if fill > 0 {
-            if let Some(j) = observer.observe_block(&buf[..fill]) {
-                // Report the step count the per-instruction path would have
-                // stopped at; instructions retired past the violation were
-                // speculative (the unclean halt forces Drop and the caller
-                // resets the core). The violation also outranks whatever
-                // condition ended the fill — the violating instruction
-                // retired before it.
-                *steps -= (fill - j - 1) as u64;
-                return HaltReason::MonitorViolation;
-            }
-        }
-        if let Some(halt) = pending {
-            return halt;
         }
     }
 }
@@ -524,71 +400,5 @@ mod tests {
     fn image_overlapping_packet_region_rejected() {
         let mut core = Core::new();
         core.install(&vec![0u8; (VERDICT_ADDR + 8) as usize], 0);
-    }
-
-    /// Drives a per-instruction observer through the block interface — the
-    /// reference adapter the block-path tests compare against.
-    struct BlockAdapter<O>(O);
-
-    impl<O: ExecutionObserver> BlockObserver for BlockAdapter<O> {
-        fn begin(&mut self, entry: u32) {
-            self.0.begin(entry);
-        }
-
-        fn observe_block(&mut self, words: &[u32]) -> Option<usize> {
-            words
-                .iter()
-                .position(|&w| self.0.observe(0, w) == Observation::Violation)
-        }
-    }
-
-    #[test]
-    fn block_path_matches_per_instruction_path() {
-        let mut a = Core::new();
-        a.install(&forward_everything_program(), 0);
-        let mut b = a.clone();
-        let out_a = a.process_packet(&[1, 2, 3], &mut NullObserver);
-        let out_b = b.process_packet_blocks(&[1, 2, 3], &mut BlockAdapter(NullObserver));
-        assert_eq!(out_a, out_b);
-    }
-
-    #[test]
-    fn block_violation_reports_exact_step() {
-        struct AfterN(u32);
-        impl ExecutionObserver for AfterN {
-            fn begin(&mut self, _e: u32) {}
-            fn observe(&mut self, _pc: u32, _w: u32) -> Observation {
-                if self.0 == 0 {
-                    return Observation::Violation;
-                }
-                self.0 -= 1;
-                Observation::Continue
-            }
-        }
-        // Violation at the third retired instruction, mid-block: the
-        // outcome must report the per-instruction stopping point even
-        // though the block ran ahead speculatively.
-        let mut core = Core::new();
-        core.install(&forward_everything_program(), 0);
-        let out = core.process_packet_blocks(&[], &mut BlockAdapter(AfterN(2)));
-        assert_eq!(out.halt, HaltReason::MonitorViolation);
-        assert_eq!(out.steps, 3);
-        assert_eq!(out.verdict, Verdict::Drop);
-    }
-
-    #[test]
-    fn block_step_limit_flushes_partial_block() {
-        let program = Assembler::new()
-            .assemble("spin: b spin")
-            .unwrap()
-            .to_bytes();
-        let mut core = Core::new();
-        core.install(&program, 0);
-        // A limit that is not a multiple of the block size exercises the
-        // partial flush before the StepLimit halt.
-        core.set_step_limit(37);
-        let out = core.process_packet_blocks(&[], &mut BlockAdapter(NullObserver));
-        assert_eq!(out.halt, HaltReason::StepLimit);
-        assert_eq!(out.steps, 37);
     }
 }

@@ -9,7 +9,7 @@
 //! quarantined cores after clean batches and a bounded per-core forensic
 //! ring flushed as `supervisor.forensic` events on escalation.
 
-use crate::core::{Core, RETIRE_BLOCK};
+use crate::core::Core;
 use crate::cpu::{ExecutionObserver, NullObserver};
 use crate::engine::{dispatch_slots, shard_of, shard_spans, steal_plan, IngressQueues, WorkerPool};
 use crate::runtime::{HaltReason, PacketOutcome};
@@ -19,6 +19,11 @@ use sdmmon_obs::{metrics, Counter, Event, EventBus, Gauge, Hist};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
+
+/// Retired instructions per `blocks` unit of a `span.verify` event: the
+/// monitor's 16-lane hash-block width, kept as a fixed unit so trace
+/// artifacts stay comparable across monitor implementations.
+const VERIFY_BLOCK: u64 = 16;
 
 /// Aggregate counters over all packets the NP has processed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -314,7 +319,7 @@ impl Slot {
                     .field("trace", trace_id)
                     .field("core", core)
                     .field("steps", outcome.steps)
-                    .field("blocks", outcome.steps / RETIRE_BLOCK as u64)
+                    .field("blocks", outcome.steps / VERIFY_BLOCK)
                     .field("halt", halt),
             );
         } else if tc.flight_window > 0 {

@@ -108,12 +108,11 @@ metric_enum! {
         /// loop — only ever nonzero with the `obs-hot` feature of
         /// `sdmmon-monitor`; the default build is a no-op sink.
         MonitorHotInstructions => "monitor_hot_instructions",
-        /// Full 16-lane retirement blocks verified through the monitor's
-        /// bit-sliced hash path (settled once per packet).
-        MonitorBlocksVerified => "monitor_blocks_verified",
-        /// Instructions verified by the block path's scalar tail — partial
-        /// final blocks at trap/`break`/step-limit boundaries.
-        MonitorScalarTailInstructions => "monitor_scalar_tail_instructions",
+        /// Retired words the monitor's fast path actually hashed — misses
+        /// of its verified-word memo, settled once per packet. On benign
+        /// traffic it levels off near the text size; growth means new or
+        /// changed code is executing.
+        MonitorWordsHashed => "monitor_words_hashed",
         /// RSA signatures produced.
         CryptoRsaSign => "crypto_rsa_sign",
         /// RSA signature verifications.
@@ -204,10 +203,6 @@ metric_enum! {
         DetectionLatencySteps => "detection_latency_steps",
         /// Transport attempts per completed download.
         DownloadAttempts => "download_attempts",
-        /// Full bit-sliced blocks per packet on the monitor's block path —
-        /// together with the block/tail counters this makes block-path
-        /// coverage visible in `sdmmon stats`.
-        MonitorBlocksPerPacket => "monitor_blocks_per_packet",
         /// Per-packet queueing delay at streaming admission: how many
         /// already-admitted packets sit ahead of it in its core's ingress
         /// queue. A logical-time latency — deterministic per seed and

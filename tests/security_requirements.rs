@@ -588,3 +588,71 @@ fn corrupted_section_localizes_refetch() {
         assert_eq!(fa, fb, "seed {sweep_seed}: fetch accounting replays");
     }
 }
+
+/// The monitor's fast path remembers words it has already verified. A
+/// text word flipped *after* that memo is warm must still be hashed for
+/// real and caught: the fast path (`run_packet`) and the per-instruction
+/// reference (`Core::process_packet`) agree on every outcome, on the
+/// monitor statistics and on the candidate set, before and after the
+/// flip, and both flag the flipped word.
+#[test]
+fn warm_memo_still_catches_a_flipped_text_word() {
+    use sdmmon::monitor::{HardwareMonitor, InstructionHash};
+    use sdmmon::npu::core::Core;
+    use sdmmon::npu::cpu::ExecutionObserver;
+    use sdmmon::npu::programs::testing;
+    use sdmmon::npu::runtime::HaltReason;
+
+    let program = programs::ipv4_forward().expect("workload");
+    let hash = MerkleTreeHash::with_compression(0x00C0_FFEE, Compression::SBox);
+    let graph = MonitoringGraph::extract(&program, &hash).expect("graph");
+    let mut fast = HardwareMonitor::new(graph.clone(), hash);
+    let mut reference = HardwareMonitor::new(graph, hash);
+    let mut fast_core = Core::new();
+    fast_core.install(&program.to_bytes(), program.base);
+    let mut ref_core = fast_core.clone();
+
+    let mut run = |fast_core: &mut Core, ref_core: &mut Core, dst: u8| {
+        let packet = testing::ipv4_packet([10, 0, 0, 1], [10, 0, 0, dst], 64, b"memo");
+        let got = fast.run_packet(fast_core, &packet);
+        let want = ref_core.process_packet(&packet, &mut reference);
+        assert_eq!(got, want, "outcome, dst {dst}");
+        assert_eq!(fast.stats(), reference.stats(), "stats, dst {dst}");
+        assert_eq!(
+            fast.candidate_count(),
+            reference.candidate_count(),
+            "candidates, dst {dst}"
+        );
+        got
+    };
+
+    // Warm the memo: every word on the benign path is verified once.
+    for dst in 1..=6 {
+        assert_eq!(
+            run(&mut fast_core, &mut ref_core, dst).halt,
+            HaltReason::Completed
+        );
+    }
+
+    // Flip bit 0 of the fourth text word, which every packet executes, on
+    // both sides. Under this parameter the flip changes the word's hash.
+    let addr = program.base + 12;
+    let original = fast_core.memory().load_u32(addr).expect("in range");
+    let patched = original ^ 1;
+    assert_ne!(
+        hash.hash(patched),
+        hash.hash(original),
+        "pick a non-colliding parameter"
+    );
+    for core in [&mut fast_core, &mut ref_core] {
+        core.memory_mut()
+            .store_u32(addr, patched)
+            .expect("in range");
+    }
+    for dst in 1..=4 {
+        let out = run(&mut fast_core, &mut ref_core, dst);
+        assert_eq!(out.halt, HaltReason::MonitorViolation, "dst {dst}");
+        assert_eq!(out.steps, 4, "flagged at the flipped word, dst {dst}");
+    }
+    assert_eq!(fast.stats().violations, 4);
+}
