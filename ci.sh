@@ -1,5 +1,5 @@
 #!/bin/sh
-# Repo gate: formatting, lints, full test suite, a quick perf smoke run
+# Repo gate: formatting, lints, rustdoc, full test suite, a quick perf smoke run
 # (quick mode writes target/BENCH_PR10.quick.json; the committed
 # BENCH_PR10.json comes from a full release run of the same binary,
 # regenerated with
@@ -31,6 +31,9 @@ fi
 
 cargo fmt --all --check
 cargo clippy --workspace --all-targets --release -- -D warnings
+# Rustdoc with warnings as errors: a deleted or private item cannot leave
+# a dangling intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 cargo build --release
 cargo test -q
 cargo test -q --workspace --release

@@ -40,6 +40,7 @@ use sdmmon_npu::np::NetworkProcessor;
 use sdmmon_npu::programs::{self, testing};
 use sdmmon_npu::runtime::{MEM_SIZE, PKT_DATA_ADDR, PKT_LEN_ADDR, STACK_TOP, VERDICT_ADDR};
 use sdmmon_rng::{Rng, SeedableRng, StdRng};
+use sdmmon_testkit::differential::deploy_serial;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -525,7 +526,7 @@ fn fleet_section(cfg: &Config, rows: &mut Vec<Vec<String>>, json: &mut String) {
 
     let (manufacturer, operator, mut rng) = world(0xBE7C_0005);
     let t = Instant::now();
-    let serial = Fleet::deploy_serial(
+    let serial = deploy_serial(
         &manufacturer,
         &operator,
         &program,
@@ -551,7 +552,7 @@ fn fleet_section(cfg: &Config, rows: &mut Vec<Vec<String>>, json: &mut String) {
     .expect("parallel deploy");
     let parallel_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(
-        serial.reports(),
+        serial.reports.as_slice(),
         parallel.reports(),
         "deploys must be deterministic"
     );

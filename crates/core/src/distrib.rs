@@ -4,7 +4,7 @@
 //! file server and re-prepares a full bundle per router — at 10k routers
 //! the operator's egress and RSA bill both scale O(routers). This module
 //! is the fleet-scale control plane built on the shared-package split of
-//! [`FleetUpdate`](crate::entities::FleetUpdate) and wire-format v2
+//! [`FleetUpdate`] and wire-format v2
 //! ([`crate::wire2`]):
 //!
 //! * the operator prepares **one** update (one graph extraction, one
@@ -34,7 +34,7 @@
 //! retains a prefix for traffic-level assertions in tests).
 
 use crate::entities::{FleetUpdate, Manufacturer, NetworkOperator, RouterDevice};
-use crate::system::Fleet;
+use crate::system::install_cycles;
 use crate::wire2::{BundleV2, Section, SectionTag, TlvBundle, HEADER_LEN, TABLE_ENTRY_LEN};
 use crate::SdmmonError;
 use sdmmon_crypto::rsa::{RsaKeyPair, RsaPublicKey};
@@ -291,6 +291,14 @@ pub struct FleetDeployConfig {
     /// Keep the first N installed routers alive in the report so tests can
     /// drive traffic through them; everything else streams out of memory.
     pub keep_routers: usize,
+    /// The causal span layer. With a bus attached, the run emits the
+    /// control-plane span chain alongside the `fleet.*` events: one
+    /// `span.operator` root at clock 0, one `span.relay` per synced relay
+    /// (clock = cumulative transport attempts), and one `span.install` per
+    /// router whose trace id derives from [`trace::entity_flow`], so
+    /// [`sdmmon_obs::assemble_traces`] links operator → relay → install per
+    /// router. Spans only add events; the deployment is the same without.
+    pub trace: Option<TraceContext>,
 }
 
 impl Default for FleetDeployConfig {
@@ -307,6 +315,7 @@ impl Default for FleetDeployConfig {
             outage: None,
             blackhole_router: None,
             keep_routers: 0,
+            trace: None,
         }
     }
 }
@@ -456,6 +465,10 @@ impl FleetScaleReport {
 /// protocol and [`FleetDeployConfig`] for the knobs. Deterministic per
 /// `seed` — a rerun replays the report and event stream byte-identically.
 ///
+/// All routers share the update's one hash parameter, which is what sets
+/// this protocol apart from [`Fleet::deploy_resilient`](crate::system::Fleet::deploy_resilient)
+/// (one origin, one v1 bundle and one parameter per router).
+///
 /// # Errors
 ///
 /// Systemic failures only (key generation, packaging). Transport and
@@ -465,28 +478,6 @@ pub fn deploy_fleet(
     program: &Program,
     seed: u64,
     bus: Option<&EventBus>,
-) -> Result<FleetScaleReport, SdmmonError> {
-    deploy_fleet_traced(config, program, seed, bus, None)
-}
-
-/// [`deploy_fleet`] with the causal span layer attached: alongside each
-/// `fleet.*` event the run emits the control-plane span chain — one
-/// `span.operator` root at clock 0, one `span.relay` per synced relay
-/// (clock = cumulative transport attempts), and one `span.install` per
-/// router whose trace id derives from [`trace::entity_flow`] — so
-/// [`sdmmon_obs::assemble_traces`] links operator → relay → install per
-/// router. Spans are only emitted when both `bus` and `trace` are present;
-/// with `trace = None` this *is* `deploy_fleet`.
-///
-/// # Errors
-///
-/// Same contract as [`deploy_fleet`].
-pub fn deploy_fleet_traced(
-    config: &FleetDeployConfig,
-    program: &Program,
-    seed: u64,
-    bus: Option<&EventBus>,
-    tracing: Option<&TraceContext>,
 ) -> Result<FleetScaleReport, SdmmonError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let manufacturer = Manufacturer::new("fleet-acme", AUTHORITY_KEY_BITS, &mut rng)?;
@@ -546,7 +537,7 @@ pub fn deploy_fleet_traced(
                 .field("package_bytes", update.package_bytes())
                 .field("cipher_sections", update.cipher_sections().len()),
         );
-        if tracing.is_some() {
+        if config.trace.is_some() {
             metrics().inc(Counter::TraceSpans);
             bus.record(
                 Event::new(trace::KIND_SPAN_OPERATOR, 0).field("sequence", update.sequence()),
@@ -594,7 +585,7 @@ pub fn deploy_fleet_traced(
                             .field("attempts", stats.attempts)
                             .field("bytes", stats.bytes_fetched),
                     );
-                    if tracing.is_some() {
+                    if config.trace.is_some() {
                         metrics().inc(Counter::TraceSpans);
                         bus.record(
                             Event::new(trace::KIND_SPAN_RELAY, clock)
@@ -637,6 +628,7 @@ pub fn deploy_fleet_traced(
         };
         if !relay_alive[relay] {
             row.error = Some(format!("relay {relay} unreachable"));
+            metrics().inc(Counter::FleetRoutersQuarantined);
         } else {
             let mut router_rng = StdRng::seed_from_u64(split_seed(router_split, i as u64));
             let mut router = manufacturer.provision_router_with_keys(
@@ -645,10 +637,7 @@ pub fn deploy_fleet_traced(
                 pool[i % pool_len].clone(),
             );
             let mut cache = SectionCache::new();
-            let mut outcome: Option<RouterDevice> = None;
-            while row.cycles < config.max_deploy_attempts.max(1) {
-                row.cycles += 1;
-                metrics().inc(Counter::FleetDeployCycles);
+            let (cycles, outcome) = install_cycles(config.max_deploy_attempts, |_| {
                 // Shared sections from the relay. Verified sections stay
                 // in the router's cache across cycles, so a retry only
                 // re-fetches what actually failed.
@@ -666,10 +655,7 @@ pub fn deploy_fleet_traced(
                         relay_egress_bytes += stats.bytes_fetched;
                         sections
                     }
-                    Err(e) => {
-                        row.error = Some(e.to_string());
-                        continue;
-                    }
+                    Err(e) => return Ok(Err(e.to_string())),
                 };
                 // The wrapped key straight from the origin — tiny, and
                 // per-router by design (SR4).
@@ -687,39 +673,28 @@ pub fn deploy_fleet_traced(
                         origin_key_egress_bytes += stats.bytes_fetched;
                         sections
                     }
-                    Err(e) => {
-                        row.error = Some(e.to_string());
-                        continue;
-                    }
+                    Err(e) => return Ok(Err(e.to_string())),
                 };
                 let wrapped_key = match key_sections.as_slice() {
                     [s] if s.tag == SectionTag::WrappedKey => s.bytes.clone(),
-                    _ => {
-                        row.error = Some("malformed key document".to_owned());
-                        continue;
-                    }
+                    _ => return Ok(Err("malformed key document".to_owned())),
                 };
                 // Assemble + full SR1–SR4 install ladder. install_bundle_v2
                 // is atomic, so a failed cycle leaves the router clean.
-                let result = BundleV2::assemble(&shared, wrapped_key)
+                Ok(BundleV2::assemble(&shared, wrapped_key)
                     .map_err(|e| SdmmonError::MalformedPackage(e.to_string()))
-                    .and_then(|b| router.install_bundle_v2(&b, &cores).map(|_| ()));
-                match result {
-                    Ok(()) => {
-                        outcome = Some(router);
-                        break;
-                    }
-                    Err(e) => {
-                        row.error = Some(e.to_string());
+                    .and_then(|b| router.install_bundle_v2(&b, &cores))
+                    .map_err(|e| e.to_string()))
+            })?;
+            row.cycles = cycles;
+            match outcome {
+                Ok(_) => {
+                    row.installed = true;
+                    if kept.len() < config.keep_routers {
+                        kept.push(router);
                     }
                 }
-            }
-            if let Some(router) = outcome {
-                row.installed = true;
-                row.error = None;
-                if kept.len() < config.keep_routers {
-                    kept.push(router);
-                }
+                Err(error) => row.error = Some(error),
             }
         }
         sections_fetched += row.sections_fetched;
@@ -727,9 +702,6 @@ pub fn deploy_fleet_traced(
         let clock = origin.attempts() + relays.iter().map(FlakyServer::attempts).sum::<u64>();
         if row.installed {
             installed += 1;
-            metrics().inc(Counter::FleetRoutersInstalled);
-        } else {
-            metrics().inc(Counter::FleetRoutersQuarantined);
         }
         if let Some(bus) = bus {
             let kind = if row.installed {
@@ -747,7 +719,7 @@ pub fn deploy_fleet_traced(
                 event = event.field("error", error.as_str());
             }
             bus.record(event);
-            if let Some(tc) = tracing {
+            if let Some(tc) = config.trace {
                 metrics().inc(Counter::TraceSpans);
                 bus.record(
                     Event::new(trace::KIND_SPAN_INSTALL, clock)
@@ -805,25 +777,6 @@ pub fn deploy_fleet_traced(
         );
     }
     Ok(report)
-}
-
-impl Fleet {
-    /// Drives the hierarchical operator → relay → router tree — the
-    /// fleet-scale counterpart of [`Fleet::deploy_resilient`], which
-    /// serves every router from one origin. Delegates to [`deploy_fleet`];
-    /// deterministic per `seed`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`deploy_fleet`].
-    pub fn deploy_resilient_tree(
-        config: &FleetDeployConfig,
-        program: &Program,
-        seed: u64,
-        bus: Option<&EventBus>,
-    ) -> Result<FleetScaleReport, SdmmonError> {
-        deploy_fleet(config, program, seed, bus)
-    }
 }
 
 #[cfg(test)]

@@ -477,7 +477,7 @@ impl FleetUpdate {
     /// byte-identical to calling [`FleetUpdate::wrap_key_for`] per router
     /// with the same rng, but amortizing Montgomery context setup across
     /// routers that share pool keys (see
-    /// [`wrap_key_batch`](sdmmon_crypto::rsa::wrap_key_batch)).
+    /// [`wrap_key_batch`]).
     ///
     /// # Errors
     ///
@@ -631,52 +631,19 @@ impl RouterDevice {
         bundle: &InstallationBundle,
         cores: &[usize],
     ) -> Result<InstallReport, SdmmonError> {
-        // Atomicity: validate the core list before anything else. Every
-        // later failure mode also precedes the programming loop, so an
-        // install either programs all requested cores or touches none.
-        if let Some(&bad) = cores.iter().find(|&&c| c >= self.installed.len()) {
-            return Err(SdmmonError::NoSuchCore {
-                core: bad,
-                cores: self.installed.len(),
-            });
-        }
-        // SR1 (chain of trust): the certificate must be manufacturer-signed.
-        if !bundle.certificate.verify(&self.manufacturer_key) {
-            return Err(SdmmonError::CertificateInvalid);
-        }
-        let operator_key = bundle
-            .certificate
-            .subject_key()
-            .map_err(|_| SdmmonError::CertificateInvalid)?;
-
-        // SR4: only this router's private key can unwrap the AES key.
-        let sym_key = self
-            .keys
-            .private
-            .decrypt(&bundle.wrapped_key)
-            .map_err(|_| SdmmonError::WrongDevice)?;
-
-        // SR3: decrypt the confidential payload.
-        let aes = Aes::new(&sym_key).map_err(|_| SdmmonError::DecryptionFailed)?;
-        let payload = aes
-            .decrypt_cbc(&bundle.ciphertext)
-            .map_err(|_| SdmmonError::DecryptionFailed)?;
-
-        self.finish_install(
-            &operator_key,
+        self.open_envelope(
             &bundle.certificate,
-            &payload,
+            &bundle.wrapped_key,
             &bundle.signature,
-            cores,
-            bundle.ciphertext.len(),
+            std::slice::from_ref(&bundle.ciphertext),
             bundle.transport_size(),
+            cores,
         )
     }
 
     /// [`RouterDevice::install_bundle`] for a wire-format-v2 bundle: the
-    /// same check ladder with the shared-package envelope — unwrap the
-    /// fleet key (SR4), decrypt each ciphertext section independently
-    /// (SR3), then verify and program exactly as v1 (SR1, anti-replay).
+    /// same check ladder, with the payload split over independently
+    /// encrypted ciphertext sections.
     ///
     /// # Errors
     ///
@@ -687,6 +654,33 @@ impl RouterDevice {
         bundle: &BundleV2,
         cores: &[usize],
     ) -> Result<InstallReport, SdmmonError> {
+        self.open_envelope(
+            &bundle.certificate,
+            &bundle.wrapped_key,
+            &bundle.signature,
+            &bundle.cipher_sections,
+            bundle.transport_size(),
+            cores,
+        )
+    }
+
+    /// The whole install ladder over either wire format — a v1 bundle is
+    /// the one-section case — so the checks cannot drift between them:
+    /// core list, certificate (SR1), key unwrap (SR4), section decrypt
+    /// (SR3), signature (SR1), package parse, anti-replay, graph parse,
+    /// core programming, and the timing report.
+    fn open_envelope(
+        &mut self,
+        certificate: &Certificate,
+        wrapped_key: &[u8],
+        signature: &[u8],
+        cipher_sections: &[Vec<u8>],
+        transport_bytes: usize,
+        cores: &[usize],
+    ) -> Result<InstallReport, SdmmonError> {
+        // Atomicity: validate the core list before anything else. Every
+        // later failure mode also precedes the programming loop, so an
+        // install either programs all requested cores or touches none.
         if let Some(&bad) = cores.iter().find(|&&c| c >= self.installed.len()) {
             return Err(SdmmonError::NoSuchCore {
                 core: bad,
@@ -694,66 +688,37 @@ impl RouterDevice {
             });
         }
         // SR1 (chain of trust): the certificate must be manufacturer-signed.
-        if !bundle.certificate.verify(&self.manufacturer_key) {
+        if !certificate.verify(&self.manufacturer_key) {
             return Err(SdmmonError::CertificateInvalid);
         }
-        let operator_key = bundle
-            .certificate
+        let operator_key = certificate
             .subject_key()
             .map_err(|_| SdmmonError::CertificateInvalid)?;
 
-        // SR4: only this router's private key can unwrap the fleet key.
+        // SR4: only this router's private key can unwrap the AES key.
         let sym_key = self
             .keys
             .private
-            .decrypt(&bundle.wrapped_key)
+            .decrypt(wrapped_key)
             .map_err(|_| SdmmonError::WrongDevice)?;
 
-        // SR3: decrypt each payload section; any damaged section fails the
-        // whole install (the transport layer's per-section checksums exist
-        // so it rarely gets this far with a bad section).
+        // SR3: decrypt the confidential payload, section by section; any
+        // damaged section fails the whole install.
         let aes = Aes::new(&sym_key).map_err(|_| SdmmonError::DecryptionFailed)?;
         let mut payload = Vec::new();
-        for section in &bundle.cipher_sections {
+        for section in cipher_sections {
             payload.extend_from_slice(
                 &aes.decrypt_cbc(section)
                     .map_err(|_| SdmmonError::DecryptionFailed)?,
             );
         }
 
-        let ciphertext_bytes = bundle.cipher_sections.iter().map(Vec::len).sum();
-        self.finish_install(
-            &operator_key,
-            &bundle.certificate,
-            &payload,
-            &bundle.signature,
-            cores,
-            ciphertext_bytes,
-            bundle.transport_size(),
-        )
-    }
-
-    /// The envelope-independent back half of an install: signature verify
-    /// (SR1), package parse, anti-replay, graph parse, core programming,
-    /// and the timing report. Shared by the v1 and v2 paths so the check
-    /// ladder cannot drift between them.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_install(
-        &mut self,
-        operator_key: &RsaPublicKey,
-        certificate: &Certificate,
-        payload: &[u8],
-        signature: &[u8],
-        cores: &[usize],
-        ciphertext_bytes: usize,
-        transport_bytes: usize,
-    ) -> Result<InstallReport, SdmmonError> {
         // SR1: the payload must carry a valid operator signature.
-        if !operator_key.verify(payload, signature) {
+        if !operator_key.verify(&payload, signature) {
             return Err(SdmmonError::SignatureInvalid);
         }
 
-        let package = Package::from_bytes(payload)
+        let package = Package::from_bytes(&payload)
             .map_err(|e| SdmmonError::MalformedPackage(e.to_string()))?;
         // Anti-replay (reproduction extension): reject packages that do not
         // advance the device's sequence high-water mark — otherwise a
@@ -787,7 +752,7 @@ impl RouterDevice {
         let timing = InstallTiming {
             check_certificate: m.check_certificate(modulus_bits, certificate.to_bytes().len()),
             unwrap_key: m.rsa_private_op(modulus_bits),
-            decrypt_package: m.aes_cbc(ciphertext_bytes),
+            decrypt_package: m.aes_cbc(cipher_sections.iter().map(Vec::len).sum()),
             verify_signature: m.verify_signature(modulus_bits, payload.len()),
         };
         Ok(InstallReport {

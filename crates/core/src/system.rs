@@ -25,7 +25,7 @@ use sdmmon_npu::programs::testing::hijack_packet;
 use sdmmon_npu::runtime::{HaltReason, PacketOutcome, Verdict};
 use sdmmon_npu::supervisor::SupervisorPolicy;
 use sdmmon_obs::{metrics, Counter, Event, EventBus};
-use sdmmon_rng::{RngCore, SeedableRng};
+use sdmmon_rng::{split_seed, RngCore, SeedableRng, StdRng};
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
@@ -147,13 +147,13 @@ impl Fleet {
     ///
     /// Per-router work (RSA key generation, graph extraction, packaging,
     /// installation) is fanned out over the persistent process-wide deploy
-    /// pool ([`deploy_pool`]) — the PR 1 implementation spawned and joined
-    /// one OS thread per router on every call. Determinism is preserved by
-    /// construction: a single master seed is drawn from `rng`, router `i`
-    /// derives its own seed as `split_seed(master, i)` and its package
-    /// sequence from a block reserved up front, and results merge by router
-    /// index, so the result is byte-identical to [`Fleet::deploy_serial`]
-    /// regardless of worker scheduling.
+    /// pool — the PR 1 implementation spawned and joined one OS thread per
+    /// router on every call. Determinism is preserved by construction: a
+    /// single master seed is drawn from `rng`, router `i` derives its own
+    /// seed as `split_seed(master, i)` and its package sequence from a
+    /// block reserved up front, and results merge by router index, so the
+    /// result is byte-identical to a serial loop regardless of worker
+    /// scheduling (asserted against the testkit's serial oracle).
     ///
     /// # Errors
     ///
@@ -169,67 +169,36 @@ impl Fleet {
     ) -> Result<Fleet, SdmmonError> {
         let master = rng.next_u64();
         let first_seq = operator.reserve_sequences(count as u64);
+        let cores: Vec<usize> = (0..cores_each).collect();
         let mut slots: Vec<Option<Result<(RouterDevice, InstallReport), SdmmonError>>> =
             (0..count).map(|_| None).collect();
         run_indexed(&mut slots, |i| {
-            deploy_one(
-                manufacturer,
-                operator,
-                program,
-                i,
+            let mut rng = StdRng::seed_from_u64(split_seed(master, i as u64));
+            let mut router = manufacturer.provision_router(
+                &format!("router-{i}"),
                 cores_each,
                 key_bits,
-                sdmmon_rng::split_seed(master, i as u64),
+                &mut rng,
+            )?;
+            let bundle = operator.prepare_package_with_sequence(
+                program,
+                router.public_key(),
                 first_seq + i as u64,
-            )
+                &mut rng,
+            )?;
+            let report = router.install_bundle(&bundle, &cores)?;
+            Ok((router, report))
         });
-        Fleet::collect(slots.into_iter().map(|s| s.expect("pool ran every job")))
-    }
-
-    /// The serial reference implementation of [`Fleet::deploy`]: identical
-    /// seed and sequence derivation, one router at a time. Exists so the
-    /// parallel path can be differentially tested (and benchmarked)
-    /// against it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates provisioning and installation failures.
-    pub fn deploy_serial<R: RngCore + ?Sized>(
-        manufacturer: &Manufacturer,
-        operator: &NetworkOperator,
-        program: &Program,
-        count: usize,
-        cores_each: usize,
-        key_bits: usize,
-        rng: &mut R,
-    ) -> Result<Fleet, SdmmonError> {
-        let master = rng.next_u64();
-        let first_seq = operator.reserve_sequences(count as u64);
-        Fleet::collect((0..count).map(|i| {
-            deploy_one(
-                manufacturer,
-                operator,
-                program,
-                i,
-                cores_each,
-                key_bits,
-                sdmmon_rng::split_seed(master, i as u64),
-                first_seq + i as u64,
-            )
-        }))
-    }
-
-    fn collect(
-        results: impl Iterator<Item = Result<(RouterDevice, InstallReport), SdmmonError>>,
-    ) -> Result<Fleet, SdmmonError> {
-        let mut routers = Vec::new();
-        let mut reports = Vec::new();
-        for result in results {
-            let (router, report) = result?;
-            routers.push(router);
-            reports.push(report);
+        let mut fleet = Fleet {
+            routers: Vec::with_capacity(count),
+            reports: Vec::with_capacity(count),
+        };
+        for slot in slots {
+            let (router, report) = slot.expect("pool ran every job")?;
+            fleet.routers.push(router);
+            fleet.reports.push(report);
         }
-        Ok(Fleet { routers, reports })
+        Ok(fleet)
     }
 
     /// The deployed routers.
@@ -391,6 +360,17 @@ impl Fleet {
     /// is byte-identical to a fully serial deployment: a given (rng,
     /// server-seed, config) triple replays byte-identically.
     ///
+    /// With a `bus` attached, the serial phase narrates each router's
+    /// state machine as structured events — one `deploy.cycle` per
+    /// download + verify + install cycle, the download attempt timeline via
+    /// [`DownloadReport::to_events`](sdmmon_net::download::DownloadReport::to_events),
+    /// `deploy.download_failed` / `deploy.verify_failed` for failed cycles,
+    /// and a terminal `deploy.installed` or `deploy.quarantined`. Every
+    /// event's logical clock is the flaky server's transport-attempt count
+    /// (the fault clock), so the stream replays byte-identically too. The
+    /// bus only adds events: the deployment is the same without it. Fleet
+    /// counters are recorded on the global metrics registry either way.
+    ///
     /// # Errors
     ///
     /// Returns an error only for *systemic* failures (provisioning or
@@ -398,44 +378,6 @@ impl Fleet {
     /// verification failures never error; they end in quarantine records.
     #[allow(clippy::too_many_arguments)]
     pub fn deploy_resilient<R: RngCore + ?Sized>(
-        manufacturer: &Manufacturer,
-        operator: &NetworkOperator,
-        program: &Program,
-        count: usize,
-        cores_each: usize,
-        key_bits: usize,
-        server: &mut FlakyServer,
-        config: &ResilientConfig,
-        rng: &mut R,
-    ) -> Result<ResilientFleet, SdmmonError> {
-        Fleet::deploy_resilient_observed(
-            manufacturer,
-            operator,
-            program,
-            count,
-            cores_each,
-            key_bits,
-            server,
-            config,
-            rng,
-            None,
-        )
-    }
-
-    /// [`Fleet::deploy_resilient`] with an optional observability bus: when
-    /// `bus` is attached, the serial download/install phase narrates each
-    /// router's state machine as structured events — one `deploy.cycle` per
-    /// download + verify + install cycle, the download attempt timeline via
-    /// [`DownloadReport::to_events`](sdmmon_net::download::DownloadReport::to_events),
-    /// `deploy.verify_failed` for rejected bundles, and a terminal
-    /// `deploy.installed` or `deploy.quarantined`. Every event's logical
-    /// clock is the flaky server's transport-attempt count (the fault
-    /// clock), which the serial router-index ordering makes deterministic,
-    /// so the stream replays byte-identically per (rng, server-seed,
-    /// config). Fleet counters are recorded on the global metrics registry
-    /// either way.
-    #[allow(clippy::too_many_arguments)]
-    pub fn deploy_resilient_observed<R: RngCore + ?Sized>(
         manufacturer: &Manufacturer,
         operator: &NetworkOperator,
         program: &Program,
@@ -453,11 +395,10 @@ impl Fleet {
         // on the deploy pool. Each job seeds its own RNG from the split
         // master and hands the *advanced* RNG back, so phase two continues
         // the per-router stream exactly where a serial loop would be.
-        type Provisioned = Result<(RouterDevice, sdmmon_rng::StdRng), SdmmonError>;
+        type Provisioned = Result<(RouterDevice, StdRng), SdmmonError>;
         let mut provisioned: Vec<Option<Provisioned>> = (0..count).map(|_| None).collect();
         run_indexed(&mut provisioned, |i| {
-            let mut router_rng =
-                sdmmon_rng::StdRng::seed_from_u64(sdmmon_rng::split_seed(master, i as u64));
+            let mut router_rng = StdRng::seed_from_u64(split_seed(master, i as u64));
             let router = manufacturer.provision_router(
                 &format!("router-{i}"),
                 cores_each,
@@ -469,13 +410,13 @@ impl Fleet {
         // Phase two — serial, router-index order: all interaction with the
         // shared fault clock (publish, download attempts) in one
         // deterministic sequence, merged by index.
+        let cores: Vec<usize> = (0..cores_each).collect();
         let mut routers = Vec::new();
         let mut reports = Vec::new();
         let mut deployments = Vec::with_capacity(count);
         for slot in provisioned {
             let (mut router, mut router_rng) = slot.expect("pool ran every job")?;
             let path = format!("pkg/{}.sdmmon", router.name());
-            let cores: Vec<usize> = (0..cores_each).collect();
             let mut record = RouterDeployment {
                 router: router.name().to_owned(),
                 phase: DeployPhase::Quarantined,
@@ -486,10 +427,7 @@ impl Fleet {
                 integrity_restarts: 0,
                 error: None,
             };
-            let mut outcome = None;
-            while record.deploy_attempts < config.max_deploy_attempts.max(1) {
-                record.deploy_attempts += 1;
-                metrics().inc(Counter::FleetDeployCycles);
+            let (cycles, outcome) = install_cycles(config.max_deploy_attempts, |cycle| {
                 // The fault clock: every probe/fetch ticks it, and the
                 // serial router order makes it a deterministic logical time.
                 let clock0 = server.attempts();
@@ -497,7 +435,7 @@ impl Fleet {
                     bus.record(
                         Event::new("deploy.cycle", clock0)
                             .field("router", record.router.as_str())
-                            .field("cycle", record.deploy_attempts),
+                            .field("cycle", cycle),
                     );
                 }
                 // Pending → Downloading: fresh bundle every cycle.
@@ -507,7 +445,6 @@ impl Fleet {
                 let download = match client.download(server, &path, &config.link, &mut router_rng) {
                     Ok(d) => d,
                     Err(e) => {
-                        record.error = Some(e.to_string());
                         if let DownloadError::AttemptsExhausted { attempts, .. } = &e {
                             record.transport_attempts += attempts;
                         }
@@ -515,11 +452,11 @@ impl Fleet {
                             bus.record(
                                 Event::new("deploy.download_failed", server.attempts())
                                     .field("router", record.router.as_str())
-                                    .field("cycle", record.deploy_attempts)
+                                    .field("cycle", cycle)
                                     .field("error", e.to_string()),
                             );
                         }
-                        continue;
+                        return Ok(Err(e.to_string()));
                     }
                 };
                 record.transport_attempts += download.attempts.len() as u32;
@@ -529,43 +466,33 @@ impl Fleet {
                 if let Some(bus) = bus {
                     bus.extend(download.to_events(&record.router, clock0));
                 }
-                // Downloading → Verifying: parse + full SR1–SR4 install.
+                // Downloading → Verifying: parse + full SR1–SR4 install. A
+                // failure rolls back to Pending: install_bundle is atomic,
+                // so the router is exactly as before the cycle.
                 let result = InstallationBundle::from_bytes(&download.bytes)
                     .map_err(|e| SdmmonError::MalformedPackage(e.to_string()))
-                    .and_then(|b| router.install_bundle(&b, &cores));
-                match result {
-                    Ok(report) => {
-                        outcome = Some(report);
-                        break;
-                    }
-                    // Verifying → (rolled back) Pending: install_bundle is
-                    // atomic, so the router is exactly as before the cycle.
-                    Err(e) => {
-                        if let Some(bus) = bus {
-                            bus.record(
-                                Event::new("deploy.verify_failed", server.attempts())
-                                    .field("router", record.router.as_str())
-                                    .field("cycle", record.deploy_attempts)
-                                    .field("error", e.to_string()),
-                            );
-                        }
-                        record.error = Some(e.to_string());
-                    }
+                    .and_then(|b| router.install_bundle(&b, &cores))
+                    .map_err(|e| e.to_string());
+                if let (Err(error), Some(bus)) = (&result, bus) {
+                    bus.record(
+                        Event::new("deploy.verify_failed", server.attempts())
+                            .field("router", record.router.as_str())
+                            .field("cycle", cycle)
+                            .field("error", error.as_str()),
+                    );
                 }
-            }
+                Ok(result)
+            })?;
+            record.deploy_attempts = cycles;
             match outcome {
-                Some(report) => {
+                Ok(report) => {
                     record.phase = DeployPhase::Installed;
-                    record.error = None;
                     router.set_supervisor_policy(config.supervisor);
                     routers.push(router);
                     reports.push(report);
-                    metrics().inc(Counter::FleetRoutersInstalled);
                 }
-                None => {
-                    // Quarantined: dropped from the fleet, kept on record.
-                    metrics().inc(Counter::FleetRoutersQuarantined);
-                }
+                // Quarantined: dropped from the fleet, kept on record.
+                Err(error) => record.error = Some(error),
             }
             if let Some(bus) = bus {
                 let kind = match record.phase {
@@ -591,31 +518,33 @@ impl Fleet {
     }
 }
 
-/// Provisions, packages, and installs one fleet router from its derived
-/// seed and pre-assigned package sequence (see [`Fleet::deploy`]).
-#[allow(clippy::too_many_arguments)]
-fn deploy_one(
-    manufacturer: &Manufacturer,
-    operator: &NetworkOperator,
-    program: &Program,
-    index: usize,
-    cores_each: usize,
-    key_bits: usize,
-    seed: u64,
-    sequence: u64,
-) -> Result<(RouterDevice, InstallReport), SdmmonError> {
-    let mut rng = sdmmon_rng::StdRng::seed_from_u64(seed);
-    let mut router = manufacturer.provision_router(
-        &format!("router-{index}"),
-        cores_each,
-        key_bits,
-        &mut rng,
-    )?;
-    let bundle =
-        operator.prepare_package_with_sequence(program, router.public_key(), sequence, &mut rng)?;
-    let cores: Vec<usize> = (0..cores_each).collect();
-    let report = router.install_bundle(&bundle, &cores)?;
-    Ok((router, report))
+/// One router's install-cycle loop, shared by both fleet protocols
+/// ([`Fleet::deploy_resilient`] and
+/// [`deploy_fleet`](crate::distrib::deploy_fleet)): runs `cycle(n)` for
+/// `n = 1, 2, …` until a cycle installs or `budget` cycles (at least one)
+/// are spent, counting each on `FleetDeployCycles`, then settles the
+/// router on `FleetRoutersInstalled` or `FleetRoutersQuarantined`. A
+/// cycle returns `Ok(Err(reason))` when it fails and the router may retry,
+/// and `Err` for a systemic failure that aborts the whole deploy. Returns
+/// the cycles spent and the installed value or the last failure reason.
+pub(crate) fn install_cycles<T>(
+    budget: u32,
+    mut cycle: impl FnMut(u32) -> Result<Result<T, String>, SdmmonError>,
+) -> Result<(u32, Result<T, String>), SdmmonError> {
+    let mut cycles = 0;
+    loop {
+        cycles += 1;
+        metrics().inc(Counter::FleetDeployCycles);
+        let outcome = cycle(cycles)?;
+        if outcome.is_ok() || cycles >= budget.max(1) {
+            metrics().inc(if outcome.is_ok() {
+                Counter::FleetRoutersInstalled
+            } else {
+                Counter::FleetRoutersQuarantined
+            });
+            return Ok((cycles, outcome));
+        }
+    }
 }
 
 /// An attack packet crafted to evade one specific router's monitor.
@@ -992,35 +921,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_deploy_is_bit_identical_to_serial() {
-        // Two identically seeded worlds: one deployed in parallel, one
-        // serially. Thread scheduling must not leak into any observable
-        // output — router identity, key material, hash parameters, or the
-        // install reports.
-        let program = programs::ipv4_forward().unwrap();
-        let (m_par, o_par, mut rng_par) = setup(16);
-        let (m_ser, o_ser, mut rng_ser) = setup(16);
-        let parallel =
-            Fleet::deploy(&m_par, &o_par, &program, 4, 2, KEY_BITS, &mut rng_par).unwrap();
-        let serial =
-            Fleet::deploy_serial(&m_ser, &o_ser, &program, 4, 2, KEY_BITS, &mut rng_ser).unwrap();
-
-        assert_eq!(parallel.len(), serial.len());
-        assert_eq!(parallel.reports(), serial.reports());
-        for (a, b) in parallel.routers().iter().zip(serial.routers()) {
-            assert_eq!(a.name(), b.name());
-            assert_eq!(
-                a.public_key().modulus_bytes(),
-                b.public_key().modulus_bytes()
-            );
-            assert_eq!(a.installed(0), b.installed(0));
-            assert_eq!(a.installed(1), b.installed(1));
-        }
-        // Both deployments leave the caller's rng in the same state.
-        assert_eq!(rng_par.next_u64(), rng_ser.next_u64());
-    }
-
     fn hostile_world() -> (FlakyServer, ResilientConfig) {
         // Lossy, corrupting, stalling link; one five-attempt server outage
         // early on; router-2's package path is blackholed (unreachable).
@@ -1055,6 +955,7 @@ mod tests {
             &mut server,
             &config,
             &mut rng,
+            None,
         )
         .unwrap();
         (result, server.stats().attempts)
@@ -1151,6 +1052,7 @@ mod tests {
             &mut server,
             &config,
             &mut rng,
+            None,
         )
         .unwrap();
         assert_eq!(result.installed(), 3);

@@ -447,13 +447,14 @@ impl<H: InstructionHash> ExecutionObserver for HardwareMonitor<H> {
         self.observe_general(word)
     }
 
-    /// The fast per-packet path: the per-instruction NFA walk of
-    /// [`MemoRun`], monomorphized into [`Core::process_packet`], taking
-    /// each word's hash from the verified-word memo when a live candidate
-    /// already proved that word. A hit yields exactly `hash(word)` (the
-    /// hash is a pure function of the word), so outcomes and statistics
-    /// are identical to the default per-instruction dispatch; a changed
-    /// or injected word misses and is hashed for real.
+    /// The fast per-packet path: the per-instruction NFA walk of the
+    /// private `MemoRun` observer, monomorphized into
+    /// [`Core::process_packet`], taking each word's hash from the
+    /// verified-word memo when a live candidate already proved that word.
+    /// A hit yields exactly `hash(word)` (the hash is a pure function of
+    /// the word), so outcomes and statistics are identical to the default
+    /// per-instruction dispatch; a changed or injected word misses and is
+    /// hashed for real.
     fn run_packet(&mut self, core: &mut Core, packet: &[u8]) -> PacketOutcome {
         let mut run = MemoRun::new(self);
         let out = core.process_packet(packet, &mut run);

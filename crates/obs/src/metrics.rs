@@ -133,7 +133,8 @@ metric_enum! {
         /// Modelled backoff, in nanoseconds (deterministic — modelled time,
         /// not wall time).
         NetBackoffNanos => "net_backoff_nanos",
-        /// Download+verify+install cycles started by `deploy_resilient`.
+        /// Fetch+verify+install cycles started by either fleet deploy
+        /// (`Fleet::deploy_resilient` and `deploy_fleet`).
         FleetDeployCycles => "fleet_deploy_cycles",
         /// Routers that reached `Installed`.
         FleetRoutersInstalled => "fleet_routers_installed",

@@ -2,7 +2,7 @@
 //! performance overhaul is checked bit-for-bit against its slow in-tree
 //! oracle — *under injected faults*, not just on well-formed inputs.
 //!
-//! * parallel [`Fleet::deploy`] ≡ [`Fleet::deploy_serial`], including when
+//! * parallel [`Fleet::deploy`] ≡ the [`deploy_serial`] oracle, including when
 //!   the deployed program carries injected bit flips (both sides must fail
 //!   with the *same* error);
 //! * Montgomery/CRT RSA ≡ the plain square-and-multiply oracle, including
@@ -18,11 +18,12 @@
 //!   statistics.
 
 use crate::fault::mutate_packet;
-use sdmmon_core::entities::{Manufacturer, NetworkOperator};
+use sdmmon_core::entities::{InstallReport, Manufacturer, NetworkOperator, RouterDevice};
 use sdmmon_core::system::Fleet;
 use sdmmon_core::SdmmonError;
 use sdmmon_crypto::bignum::BigUint;
 use sdmmon_crypto::rsa::RsaKeyPair;
+use sdmmon_isa::asm::Program;
 use sdmmon_isa::Reg;
 use sdmmon_monitor::{HardwareMonitor, MerkleTreeHash, MonitoringGraph};
 use sdmmon_net::traffic::{OpenLoopConfig, OpenLoopSource};
@@ -177,10 +178,65 @@ fn modpow_fast_vs_binary(trials: u64, seed: u64) -> DiffCheck {
     }
 }
 
+/// What [`deploy_serial`] deployed, in router order.
+#[derive(Debug)]
+pub struct SerialFleet {
+    /// The deployed routers.
+    pub routers: Vec<RouterDevice>,
+    /// Per-router installation reports.
+    pub reports: Vec<InstallReport>,
+}
+
+/// The serial reference for [`Fleet::deploy`], built only from public
+/// calls: one master seed drawn from `rng`, one reserved block of package
+/// sequences, then router `i` provisioned, packaged and installed from its
+/// own `split_seed(master, i)` stream — one router at a time. The
+/// parallel deploy must match it byte for byte, whatever the worker
+/// scheduling.
+///
+/// # Errors
+///
+/// Propagates the first provisioning, packaging or installation failure,
+/// in router order.
+pub fn deploy_serial<R: RngCore + ?Sized>(
+    manufacturer: &Manufacturer,
+    operator: &NetworkOperator,
+    program: &Program,
+    count: usize,
+    cores_each: usize,
+    key_bits: usize,
+    rng: &mut R,
+) -> Result<SerialFleet, SdmmonError> {
+    let master = rng.next_u64();
+    let first_seq = operator.reserve_sequences(count as u64);
+    let cores: Vec<usize> = (0..cores_each).collect();
+    let mut fleet = SerialFleet {
+        routers: Vec::with_capacity(count),
+        reports: Vec::with_capacity(count),
+    };
+    for i in 0..count {
+        let mut rng = StdRng::seed_from_u64(sdmmon_rng::split_seed(master, i as u64));
+        let mut router = manufacturer.provision_router(
+            &format!("router-{i}"),
+            cores_each,
+            key_bits,
+            &mut rng,
+        )?;
+        let bundle = operator.prepare_package_with_sequence(
+            program,
+            router.public_key(),
+            first_seq + i as u64,
+            &mut rng,
+        )?;
+        fleet.reports.push(router.install_bundle(&bundle, &cores)?);
+        fleet.routers.push(router);
+    }
+    Ok(fleet)
+}
+
 /// Observable state of one deployed fleet, for equality comparison.
-fn fleet_fingerprint(fleet: &Fleet) -> Vec<(String, Vec<u8>, Option<u32>)> {
-    fleet
-        .routers()
+fn fleet_fingerprint(routers: &[RouterDevice]) -> Vec<(String, Vec<u8>, Option<u32>)> {
+    routers
         .iter()
         .map(|r| {
             (
@@ -222,10 +278,11 @@ fn deploy_parallel_vs_serial(rounds: u64, seed: u64) -> Result<DiffCheck, Sdmmon
         let (m_par, o_par, mut rng_par) = world(world_seed)?;
         let (m_ser, o_ser, mut rng_ser) = world(world_seed)?;
         let parallel = Fleet::deploy(&m_par, &o_par, &program, 3, 1, 512, &mut rng_par);
-        let serial = Fleet::deploy_serial(&m_ser, &o_ser, &program, 3, 1, 512, &mut rng_ser);
+        let serial = deploy_serial(&m_ser, &o_ser, &program, 3, 1, 512, &mut rng_ser);
         let agree = match (&parallel, &serial) {
             (Ok(p), Ok(s)) => {
-                p.reports() == s.reports() && fleet_fingerprint(p) == fleet_fingerprint(s)
+                p.reports() == s.reports.as_slice()
+                    && fleet_fingerprint(p.routers()) == fleet_fingerprint(&s.routers)
             }
             (Err(p), Err(s)) => p == s,
             _ => false,
@@ -558,6 +615,40 @@ fn stream_steal_vs_serial(runs: u64, seed: u64) -> DiffCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parallel_deploy_is_bit_identical_to_serial() {
+        // Two identically seeded worlds: one deployed in parallel, one by
+        // the serial oracle. Thread scheduling must not leak into any
+        // observable output — router identity, key material, hash
+        // parameters, or the install reports.
+        let program = programs::ipv4_forward().unwrap();
+        let world = |seed: u64| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = Manufacturer::new("acme", 512, &mut rng).unwrap();
+            let mut o = NetworkOperator::new("op", 512, &mut rng).unwrap();
+            o.accept_certificate(m.certify_operator(o.public_key(), "op"));
+            (m, o, rng)
+        };
+        let (m_par, o_par, mut rng_par) = world(16);
+        let (m_ser, o_ser, mut rng_ser) = world(16);
+        let parallel = Fleet::deploy(&m_par, &o_par, &program, 4, 2, 512, &mut rng_par).unwrap();
+        let serial = deploy_serial(&m_ser, &o_ser, &program, 4, 2, 512, &mut rng_ser).unwrap();
+
+        assert_eq!(parallel.len(), serial.routers.len());
+        assert_eq!(parallel.reports(), serial.reports.as_slice());
+        for (a, b) in parallel.routers().iter().zip(&serial.routers) {
+            assert_eq!(a.name(), b.name());
+            assert_eq!(
+                a.public_key().modulus_bytes(),
+                b.public_key().modulus_bytes()
+            );
+            assert_eq!(a.installed(0), b.installed(0));
+            assert_eq!(a.installed(1), b.installed(1));
+        }
+        // Both deployments leave the caller's rng in the same state.
+        assert_eq!(rng_par.next_u64(), rng_ser.next_u64());
+    }
 
     #[test]
     fn all_checks_agree_under_faults() {

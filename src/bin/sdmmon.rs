@@ -32,7 +32,8 @@
 //!     Hierarchical fleet-scale deployment: one shared encrypted update,
 //!     relays caching the ciphertext (origin egress O(relays)), per-router
 //!     key wraps, wire-format v2 with per-section checksums. Writes the
-//!     byte-stable sdmmon-fleet-v1 JSON report.
+//!     byte-stable sdmmon-fleet-v1 JSON report. `--relays` may not exceed
+//!     `--routers`; `--key-pool` and `--out` need `--relays`.
 //!
 //! sdmmon bench [--quick] [--shards <n>] [--hash] [--metrics <path>]
 //!     Run the sharded batch-engine throughput sweep (serial oracle vs
@@ -75,6 +76,9 @@
 use sdmmon::isa::asm::Assembler;
 use sdmmon::monitor::hash::{Compression, MerkleTreeHash};
 use sdmmon::monitor::{HardwareMonitor, MonitoringGraph};
+use sdmmon::net::channel::{Channel, FileServer};
+use sdmmon::net::download::RetryPolicy;
+use sdmmon::net::resilience::{FlakyServer, LossyChannel, OutageWindow};
 use sdmmon::npu::core::Core;
 use sdmmon::npu::trace::{Tee, Tracer};
 use sdmmon::obs::EventBus;
@@ -491,12 +495,101 @@ fn event_field(event: &sdmmon::obs::Event, key: &str) -> String {
         .unwrap_or_else(|| "?".to_owned())
 }
 
+/// The flags both `deploy` modes share, parsed and validated once. Only
+/// the defaults differ: the single-origin deploy models a small fleet on a
+/// very lossy link, the relay tree a larger fleet on milder links.
+struct DeployFlags {
+    routers: usize,
+    cores: usize,
+    seed: u64,
+    loss: f64,
+    corrupt: f64,
+    stall: f64,
+    max_retries: u32,
+    deploy_attempts: u32,
+    outage: Option<OutageWindow>,
+    blackhole: Option<usize>,
+}
+
+impl DeployFlags {
+    fn parse(a: &Args, tree: bool) -> Result<DeployFlags, CliError> {
+        let (routers, cores, loss, corrupt, stall) = if tree {
+            (64, 1, 0.05, 0.02, 0.02)
+        } else {
+            (4, 2, 0.2, 0.05, 0.05)
+        };
+        let prob = |flag: &str, what: &str, default: f64| {
+            a.option(flag).map_or(Ok(default), |v| parse_prob(v, what))
+        };
+        let budget = |flag: &str, what: &str, default: u64| {
+            u32::try_from(nonzero(a, flag, what, default)?)
+                .map_err(|_| usage(format!("{what} out of range")))
+        };
+        let routers = nonzero(a, "--routers", "routers", routers)? as usize;
+        let outage = a
+            .option("--outage")
+            .map(|spec| {
+                let (from, len) = spec
+                    .split_once(':')
+                    .ok_or_else(|| usage("--outage wants `from:len` (e.g. 2:5)"))?;
+                Ok(OutageWindow {
+                    from: parse_u64(from, "outage start")?,
+                    len: parse_u64(len, "outage length")?,
+                })
+            })
+            .transpose()?;
+        let blackhole = a
+            .option("--blackhole")
+            .map(|v| match parse_u64(v, "blackhole router")? as usize {
+                victim if victim < routers => Ok(victim),
+                victim => Err(usage(format!(
+                    "--blackhole {victim} is outside the fleet (0..{routers})"
+                ))),
+            })
+            .transpose()?;
+        Ok(DeployFlags {
+            routers,
+            cores: nonzero(a, "--cores", "cores", cores)? as usize,
+            seed: a
+                .option("--seed")
+                .map_or(Ok(42), |v| parse_u64(v, "seed"))?,
+            loss: prob("--loss", "loss probability", loss)?,
+            corrupt: prob("--corrupt", "corruption probability", corrupt)?,
+            stall: prob("--stall", "stall probability", stall)?,
+            max_retries: budget("--max-retries", "max retries", 60)?,
+            deploy_attempts: budget("--deploy-attempts", "deploy attempts", 3)?,
+            outage,
+            blackhole,
+        })
+    }
+
+    /// The fault model of every link, in both modes.
+    fn link(&self) -> LossyChannel {
+        LossyChannel::clean(Channel::ideal_gigabit())
+            .with_loss(self.loss)
+            .with_corrupt(self.corrupt)
+            .with_stall(self.stall)
+    }
+
+    /// The per-range transport retry policy both modes use.
+    fn retry(&self) -> RetryPolicy {
+        RetryPolicy::default()
+            .with_chunk_bytes(16 * 1024)
+            .with_max_attempts(self.max_retries)
+    }
+}
+
+/// Parses a count flag that must be nonzero, defaulting when absent.
+fn nonzero(a: &Args, flag: &str, what: &str, default: u64) -> Result<u64, CliError> {
+    match a.option(flag).map_or(Ok(default), |v| parse_u64(v, what))? {
+        0 => Err(usage(format!("{flag} must be nonzero"))),
+        n => Ok(n),
+    }
+}
+
 fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
     use sdmmon::core::entities::{Manufacturer, NetworkOperator};
     use sdmmon::core::system::{DeployPhase, Fleet, ResilientConfig};
-    use sdmmon::net::channel::{Channel, FileServer};
-    use sdmmon::net::download::RetryPolicy;
-    use sdmmon::net::resilience::{FlakyServer, LossyChannel, OutageWindow};
     use sdmmon::npu::supervisor::SupervisorPolicy;
     use sdmmon_rng::{RngCore, SeedableRng, StdRng};
 
@@ -525,58 +618,25 @@ fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
     }
     // `--relays` selects the hierarchical fleet-scale path: one shared
     // update, relays caching the ciphertext, per-router key wraps.
-    if a.option("--relays").is_some() {
-        return cmd_deploy_fleet(&a);
+    let tree = a.option("--relays").is_some();
+    let flags = DeployFlags::parse(&a, tree)?;
+    if tree {
+        return cmd_deploy_fleet(&a, &flags);
     }
-    let routers = a
-        .option("--routers")
-        .map(|v| parse_u64(v, "routers"))
-        .transpose()?
-        .unwrap_or(4) as usize;
-    let cores = a
-        .option("--cores")
-        .map(|v| parse_u64(v, "cores"))
-        .transpose()?
-        .unwrap_or(2) as usize;
-    let seed = a
-        .option("--seed")
-        .map(|v| parse_u64(v, "seed"))
-        .transpose()?
-        .unwrap_or(42);
-    let loss = a
-        .option("--loss")
-        .map(|v| parse_prob(v, "loss probability"))
-        .transpose()?
-        .unwrap_or(0.2);
-    let corrupt = a
-        .option("--corrupt")
-        .map(|v| parse_prob(v, "corruption probability"))
-        .transpose()?
-        .unwrap_or(0.05);
-    let stall = a
-        .option("--stall")
-        .map(|v| parse_prob(v, "stall probability"))
-        .transpose()?
-        .unwrap_or(0.05);
-    let max_retries = a
-        .option("--max-retries")
-        .map(|v| parse_u64(v, "max retries"))
-        .transpose()?
-        .map(|n| u32::try_from(n).map_err(|_| usage("max retries out of range")))
-        .transpose()?
-        .unwrap_or(60);
-    let deploy_attempts = a
-        .option("--deploy-attempts")
-        .map(|v| parse_u64(v, "deploy attempts"))
-        .transpose()?
-        .map(|n| u32::try_from(n).map_err(|_| usage("deploy attempts out of range")))
-        .transpose()?
-        .unwrap_or(3);
-    if routers == 0 || cores == 0 || max_retries == 0 || deploy_attempts == 0 {
-        return Err(usage(
-            "routers, cores, retries and attempts must be nonzero",
-        ));
+    if let Some(flag) = ["--key-pool", "--out"]
+        .into_iter()
+        .find(|f| a.option(f).is_some())
+    {
+        return Err(usage(format!(
+            "{flag} configures the relay tree: it needs --relays"
+        )));
     }
+    let DeployFlags {
+        routers,
+        cores,
+        seed,
+        ..
+    } = flags;
 
     let mut rng = StdRng::seed_from_u64(seed);
     let manufacturer = Manufacturer::new("acme", 512, &mut rng).map_err(processing)?;
@@ -585,38 +645,21 @@ fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
     let program = sdmmon::npu::programs::ipv4_forward().map_err(processing)?;
 
     let mut server = FlakyServer::new(FileServer::new(), rng.next_u64());
-    if let Some(spec) = a.option("--outage") {
-        let (from, len) = spec
-            .split_once(':')
-            .ok_or_else(|| usage("--outage wants `from:len` (e.g. 2:5)"))?;
-        server.schedule_outage(OutageWindow {
-            from: parse_u64(from, "outage start")?,
-            len: parse_u64(len, "outage length")?,
-        });
+    if let Some(window) = flags.outage {
+        server.schedule_outage(window);
     }
-    if let Some(victim) = a.option("--blackhole") {
-        let victim = parse_u64(victim, "blackhole router")? as usize;
-        if victim >= routers {
-            return Err(usage(format!(
-                "--blackhole {victim} is outside the fleet (0..{routers})"
-            )));
-        }
+    if let Some(victim) = flags.blackhole {
         server.blackhole(format!("pkg/router-{victim}.sdmmon"));
     }
     let config = ResilientConfig {
-        link: LossyChannel::clean(Channel::ideal_gigabit())
-            .with_loss(loss)
-            .with_corrupt(corrupt)
-            .with_stall(stall),
-        retry: RetryPolicy::default()
-            .with_chunk_bytes(16 * 1024)
-            .with_max_attempts(max_retries),
-        max_deploy_attempts: deploy_attempts,
+        link: flags.link(),
+        retry: flags.retry(),
+        max_deploy_attempts: flags.deploy_attempts,
         supervisor: SupervisorPolicy::default(),
     };
 
     let bus = a.option("--events").map(|_| EventBus::new());
-    let mut result = Fleet::deploy_resilient_observed(
+    let mut result = Fleet::deploy_resilient(
         &manufacturer,
         &operator,
         &program,
@@ -631,8 +674,9 @@ fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
     .map_err(processing)?;
 
     println!(
-        "link: loss {loss:.2}, corrupt {corrupt:.2}, stall {stall:.2}; \
-         {max_retries} transport retries x {deploy_attempts} deploy cycles"
+        "link: loss {:.2}, corrupt {:.2}, stall {:.2}; \
+         {} transport retries x {} deploy cycles",
+        flags.loss, flags.corrupt, flags.stall, flags.max_retries, flags.deploy_attempts
     );
     println!(
         "{:<12} {:<11} {:>6} {:>9} {:>9} {:>12}",
@@ -792,109 +836,45 @@ fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
 /// operator → relays → routers, shared-package encryption with per-router
 /// key wraps, wire-format v2 with per-section checksums. Writes the
 /// byte-stable `sdmmon-fleet-v1` report to `--out`.
-fn cmd_deploy_fleet(a: &Args) -> Result<(), CliError> {
-    use sdmmon::net::download::RetryPolicy;
-    use sdmmon::net::resilience::OutageWindow;
+fn cmd_deploy_fleet(a: &Args, flags: &DeployFlags) -> Result<(), CliError> {
+    use sdmmon::core::distrib::FleetDeployConfig;
     use sdmmon::testkit::{fleet_report_json, run_fleet_scale, FleetScaleConfig};
 
-    let routers = a
-        .option("--routers")
-        .map(|v| parse_u64(v, "routers"))
-        .transpose()?
-        .unwrap_or(64) as usize;
-    let relays = a
-        .option("--relays")
-        .map(|v| parse_u64(v, "relays"))
-        .transpose()?
-        .unwrap_or(4) as usize;
-    let cores = a
-        .option("--cores")
-        .map(|v| parse_u64(v, "cores"))
-        .transpose()?
-        .unwrap_or(1) as usize;
-    let seed = a
-        .option("--seed")
-        .map(|v| parse_u64(v, "seed"))
-        .transpose()?
-        .unwrap_or(42);
-    let loss = a
-        .option("--loss")
-        .map(|v| parse_prob(v, "loss probability"))
-        .transpose()?
-        .unwrap_or(0.05);
-    let corrupt = a
-        .option("--corrupt")
-        .map(|v| parse_prob(v, "corruption probability"))
-        .transpose()?
-        .unwrap_or(0.02);
-    let stall = a
-        .option("--stall")
-        .map(|v| parse_prob(v, "stall probability"))
-        .transpose()?
-        .unwrap_or(0.02);
-    let max_retries = a
-        .option("--max-retries")
-        .map(|v| parse_u64(v, "max retries"))
-        .transpose()?
-        .map(|n| u32::try_from(n).map_err(|_| usage("max retries out of range")))
-        .transpose()?
-        .unwrap_or(60);
-    let deploy_attempts = a
-        .option("--deploy-attempts")
-        .map(|v| parse_u64(v, "deploy attempts"))
-        .transpose()?
-        .map(|n| u32::try_from(n).map_err(|_| usage("deploy attempts out of range")))
-        .transpose()?
-        .unwrap_or(3);
-    let key_pool = a
-        .option("--key-pool")
-        .map(|v| parse_u64(v, "key pool"))
-        .transpose()?
-        .unwrap_or(64) as usize;
-    if routers == 0 || relays == 0 || cores == 0 || key_pool == 0 {
-        return Err(usage("routers, relays, cores and key-pool must be nonzero"));
+    let (routers, seed) = (flags.routers, flags.seed);
+    let relays = nonzero(a, "--relays", "relays", 4)? as usize;
+    if relays > routers {
+        return Err(usage(format!(
+            "--relays {relays} exceeds --routers {routers}: a relay past the fleet serves no router"
+        )));
     }
-
-    let mut cfg = FleetScaleConfig::new(seed)
-        .with_routers(routers)
-        .with_relays(relays);
-    cfg.deploy.cores_each = cores;
-    cfg.deploy.key_pool = key_pool;
-    cfg.deploy.max_deploy_attempts = deploy_attempts;
-    cfg.deploy.link = cfg
-        .deploy
-        .link
-        .with_loss(loss)
-        .with_corrupt(corrupt)
-        .with_stall(stall);
-    cfg.deploy.retry = RetryPolicy::default()
-        .with_chunk_bytes(16 * 1024)
-        .with_max_attempts(max_retries);
-    if let Some(spec) = a.option("--outage") {
-        let (from, len) = spec
-            .split_once(':')
-            .ok_or_else(|| usage("--outage wants `from:len` (e.g. 2:5)"))?;
-        cfg.deploy.outage = Some(OutageWindow {
-            from: parse_u64(from, "outage start")?,
-            len: parse_u64(len, "outage length")?,
-        });
-    }
-    if let Some(victim) = a.option("--blackhole") {
-        let victim = parse_u64(victim, "blackhole router")? as usize;
-        if victim >= routers {
-            return Err(usage(format!(
-                "--blackhole {victim} is outside the fleet (0..{routers})"
-            )));
-        }
-        cfg.deploy.blackhole_router = Some(victim);
-    }
+    let cfg = FleetScaleConfig {
+        seed,
+        deploy: FleetDeployConfig {
+            routers,
+            relays,
+            cores_each: flags.cores,
+            key_pool: nonzero(a, "--key-pool", "key pool", 64)? as usize,
+            link: flags.link(),
+            retry: flags.retry(),
+            max_deploy_attempts: flags.deploy_attempts,
+            outage: flags.outage,
+            blackhole_router: flags.blackhole,
+            ..FleetDeployConfig::default()
+        },
+    };
 
     let bus = a.option("--events").map(|_| EventBus::new());
     let report = run_fleet_scale(&cfg, bus.as_ref()).map_err(processing)?;
     println!(
         "tree: {} routers over {} relays, {} core(s) each, {} distinct keys; \
-         link loss {loss:.2} corrupt {corrupt:.2} stall {stall:.2}",
-        report.routers, report.relays, report.cores_each, report.key_pool
+         link loss {:.2} corrupt {:.2} stall {:.2}",
+        report.routers,
+        report.relays,
+        report.cores_each,
+        report.key_pool,
+        flags.loss,
+        flags.corrupt,
+        flags.stall
     );
     println!("{}", report.summary());
     for row in report.rows.iter().filter(|r| !r.installed) {
@@ -1318,7 +1298,7 @@ fn cmd_stream(args: &[String]) -> Result<(), CliError> {
 /// count). `--perfetto` additionally exports a Chrome/Perfetto
 /// `traceEvents` JSON using the logical clocks as timestamps.
 fn cmd_trace(args: &[String]) -> Result<(), CliError> {
-    use sdmmon::core::distrib::{deploy_fleet_traced, FleetDeployConfig};
+    use sdmmon::core::distrib::{deploy_fleet, FleetDeployConfig};
     use sdmmon::net::traffic::{OpenLoopConfig, OpenLoopSource};
     use sdmmon::npu::np::{NetworkProcessor, StreamConfig};
     use sdmmon::npu::programs::{self, testing};
@@ -1423,10 +1403,11 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
         routers: if quick { 4 } else { 8 },
         relays: 2,
         key_pool: 4,
+        trace: Some(tc),
         ..FleetDeployConfig::default()
     };
-    let fleet = deploy_fleet_traced(&fleet_cfg, &program, seed ^ 0xF1EE7, Some(&bus), Some(&tc))
-        .map_err(processing)?;
+    let fleet =
+        deploy_fleet(&fleet_cfg, &program, seed ^ 0xF1EE7, Some(&bus)).map_err(processing)?;
 
     if let Some(path) = events_path {
         write_output(path, &bus.render_jsonl())?;

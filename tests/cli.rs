@@ -325,4 +325,31 @@ fn bad_inputs_yield_clean_errors() {
         .expect("spawn");
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad hex digit"));
+    // Both deploy modes share one flag parser: a zero retry or cycle
+    // budget is a usage error with relays too.
+    for flag in ["--max-retries", "--deploy-attempts"] {
+        let out = sdmmon()
+            .args(["deploy", "--relays", "2", "--routers", "3", flag, "0"])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{flag} 0");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("must be nonzero"));
+    }
+    // Relay-tree flags without --relays are refused, not silently ignored.
+    let report = std::env::temp_dir().join(format!("sdmmon-cli-{}-x.json", std::process::id()));
+    let out = sdmmon()
+        .args(["deploy", "--routers", "2", "--key-pool", "5", "--out"])
+        .arg(&report)
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("needs --relays"));
+    assert!(!report.exists(), "a refused deploy writes no report");
+    // A relay past the fleet would serve no router.
+    let out = sdmmon()
+        .args(["deploy", "--relays", "9", "--routers", "4"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("exceeds --routers"));
 }

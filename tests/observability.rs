@@ -9,8 +9,16 @@
 //! * the sharded batch engine — supervisor events buffered per shard and
 //!   merged by logical clock must render identically at 1 and 4 shards
 //!   (the clock is the packet's batch ordinal, so the merged stream is
-//!   shard-count-independent by construction).
+//!   shard-count-independent by construction);
+//! * both fleet deploys — an attached bus or span layer only adds events:
+//!   the deployment itself is the same with the sink and without.
 
+use sdmmon::core::distrib::{deploy_fleet, FleetDeployConfig, FleetScaleReport};
+use sdmmon::core::entities::{Manufacturer, NetworkOperator};
+use sdmmon::core::system::{Fleet, ResilientConfig, ResilientFleet};
+use sdmmon::net::channel::{Channel, FileServer};
+use sdmmon::net::download::RetryPolicy;
+use sdmmon::net::resilience::{FlakyServer, LossyChannel, OutageWindow};
 use sdmmon::npu::cpu::NullObserver;
 use sdmmon::npu::np::{NetworkProcessor, StreamConfig};
 use sdmmon::npu::programs::{self, testing};
@@ -332,4 +340,101 @@ fn graded_supervisor_stream_is_identical_across_shard_counts() {
             validate_event_line(line).unwrap();
         }
     }
+}
+
+/// A small relay-tree rollout over faulty links — an origin outage and one
+/// blackholed key document included — with every event captured.
+fn fleet_rollout(trace: Option<TraceContext>) -> (FleetScaleReport, Vec<Event>) {
+    let cfg = FleetDeployConfig {
+        routers: 6,
+        relays: 2,
+        key_pool: 3,
+        link: LossyChannel::clean(Channel::ideal_gigabit())
+            .with_loss(0.1)
+            .with_corrupt(0.05),
+        outage: Some(OutageWindow { from: 1, len: 3 }),
+        blackhole_router: Some(4),
+        trace,
+        ..FleetDeployConfig::default()
+    };
+    let program = programs::ipv4_forward().unwrap();
+    let bus = EventBus::new();
+    let report = deploy_fleet(&cfg, &program, 0x51_4E5, Some(&bus)).unwrap();
+    (report, bus.take())
+}
+
+#[test]
+fn fleet_spans_only_add_events() {
+    let (plain, plain_events) = fleet_rollout(None);
+    let (traced, traced_events) = fleet_rollout(Some(TraceContext::new(7, 1000)));
+    assert_eq!(plain.rows, traced.rows);
+    assert_eq!(plain.summary(), traced.summary());
+    assert_eq!(plain.transport_attempts, traced.transport_attempts);
+    assert_eq!(plain.quarantined_routers, vec![4], "the blackholed router");
+
+    let is_span = |e: &Event| e.kind.starts_with("span.");
+    assert!(!plain_events.iter().any(is_span), "no trace, no spans");
+    let spans = traced_events.iter().filter(|e| is_span(e)).count();
+    assert_eq!(
+        spans,
+        1 + plain.relays_synced + plain.routers,
+        "one operator root, one span per synced relay and per router"
+    );
+    let stripped: Vec<Event> = traced_events.into_iter().filter(|e| !is_span(e)).collect();
+    assert_eq!(plain_events, stripped);
+}
+
+/// A four-router single-origin deploy through a lossy link, one server
+/// outage and one blackholed router, optionally narrated on `bus`.
+fn resilient_rollout(bus: Option<&EventBus>) -> (ResilientFleet, u64) {
+    let mut rng = StdRng::seed_from_u64(0xBD5);
+    let manufacturer = Manufacturer::new("acme", 512, &mut rng).unwrap();
+    let mut operator = NetworkOperator::new("op", 512, &mut rng).unwrap();
+    operator.accept_certificate(manufacturer.certify_operator(operator.public_key(), "op"));
+    let mut server = FlakyServer::new(FileServer::new(), 0xF1EE7);
+    server.schedule_outage(OutageWindow { from: 2, len: 5 });
+    server.blackhole("pkg/router-2.sdmmon");
+    let config = ResilientConfig {
+        link: LossyChannel::clean(Channel::ideal_gigabit())
+            .with_loss(0.2)
+            .with_corrupt(0.05)
+            .with_stall(0.05),
+        retry: RetryPolicy::default()
+            .with_chunk_bytes(16 * 1024)
+            .with_max_attempts(60),
+        ..ResilientConfig::default()
+    };
+    let program = programs::ipv4_forward().unwrap();
+    let result = Fleet::deploy_resilient(
+        &manufacturer,
+        &operator,
+        &program,
+        4,
+        1,
+        256,
+        &mut server,
+        &config,
+        &mut rng,
+        bus,
+    )
+    .unwrap();
+    (result, server.stats().attempts)
+}
+
+#[test]
+fn resilient_deploy_bus_only_adds_events() {
+    let (quiet, quiet_attempts) = resilient_rollout(None);
+    let bus = EventBus::new();
+    let (observed, observed_attempts) = resilient_rollout(Some(&bus));
+    assert_eq!(quiet.deployments, observed.deployments);
+    assert_eq!(quiet.fleet.reports(), observed.fleet.reports());
+    assert_eq!(quiet_attempts, observed_attempts, "same fault clock");
+    assert_eq!(quiet.quarantined(), 1, "the blackholed router");
+
+    let events = bus.take();
+    let count = |kind: &str| events.iter().filter(|e| e.kind == kind).count();
+    assert_eq!(count("deploy.installed"), 3);
+    assert_eq!(count("deploy.quarantined"), 1);
+    let cycles: u32 = quiet.deployments.iter().map(|d| d.deploy_attempts).sum();
+    assert_eq!(count("deploy.cycle"), cycles as usize);
 }
